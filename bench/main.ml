@@ -158,9 +158,6 @@ let solver_stats_json () =
       ("cache_hit_rate", J_num hit_rate);
       ("cache_evictions", J_int s.Smt.Solver.cache_evictions);
       ("interval_hits", J_int (s.Smt.Solver.interval_hits - excluded.ex_interval));
-      ("rows_pruned", J_int s.Smt.Solver.rows_pruned);
-      ("pairs_skipped_by_pruning", J_int s.Smt.Solver.pairs_skipped_by_pruning);
-      ("subsumed_groups", J_int s.Smt.Solver.subsumed_groups);
       ("expr_nodes", J_int s.Smt.Solver.expr_nodes);
       ( "excluded_ablation_controls",
         J_obj
@@ -726,7 +723,7 @@ let parallel_crosscheck () =
 let incremental_crosscheck () =
   header
     "Incremental crosscheck: per-pair scratch instances vs row-major sessions \
-     (shared blasting + learnt-clause reuse)";
+     (row-conjunct blasting + learnt-clause reuse)";
   Printf.printf "%-14s %7s | %9s %9s | %9s %9s | %7s | %6s %8s\n" "Test" "pairs"
     "t(scratch)" "pairs/s" "t(incr)" "pairs/s" "speedup" "reuse" "learnt";
   let tests = [ Spec.eth_flow_mod (); Spec.cs_flow_mods (); Spec.short_symb () ] in
@@ -750,7 +747,6 @@ let incremental_crosscheck () =
   let sessions0 = st.Smt.Solver.sessions_opened in
   let assumes0 = st.Smt.Solver.assumption_solves in
   let fallbacks0 = st.Smt.Solver.scratch_fallbacks in
-  let tiny0 = st.Smt.Solver.tiny_session_fallbacks in
   let learnt0 = st.Smt.Solver.learnt_retained in
   List.iter
     (fun (spec : Spec.t) ->
@@ -758,11 +754,9 @@ let incremental_crosscheck () =
       let b = Soft.Grouping.of_run (get_run spec (List.nth agents 2)) in
       let measure incremental =
         (* cold memo cache on both sides: the amortization under test is
-           the in-session reuse, not warm whole-query memo hits; sharing
-           off so the incremental side actually opens row sessions rather
-           than adopting the shared blasted base *)
+           the in-session reuse, not warm whole-query memo hits *)
         Smt.Solver.clear_cache ();
-        Soft.Crosscheck.check ~jobs:1 ~incremental ~share:false a b
+        Soft.Crosscheck.check ~jobs:1 ~incremental a b
       in
       let learnt_before = st.Smt.Solver.learnt_retained in
       let assumes_before = st.Smt.Solver.assumption_solves in
@@ -809,7 +803,6 @@ let incremental_crosscheck () =
   let sessions = st.Smt.Solver.sessions_opened - sessions0 in
   let assumes = st.Smt.Solver.assumption_solves - assumes0 in
   let fallbacks = st.Smt.Solver.scratch_fallbacks - fallbacks0 in
-  let tiny = st.Smt.Solver.tiny_session_fallbacks - tiny0 in
   let learnt = st.Smt.Solver.learnt_retained - learnt0 in
   let reuse =
     if assumes > 0 then float_of_int (assumes - sessions) /. float_of_int assumes else 0.0
@@ -827,25 +820,24 @@ let incremental_crosscheck () =
          ("sessions", J_int sessions);
          ("assumption_solves", J_int assumes);
          ("scratch_fallbacks", J_int fallbacks);
-         ("tiny_session_fallbacks", J_int tiny);
          ("blast_reuse_rate", J_num reuse);
          ("learnt_retained", J_int learnt);
          ("tests", J_arr (List.rev !rows));
        ])
 
 (* ---------------------------------------------------------------------- *)
-(* Canonical memo + row pruning + warm-cache pipeline: the full packet_out
+(* Canonical memo + warm-cache pipeline: the full packet_out
    comparison end to end — execute every agent, group, crosscheck against
    both cut-throughs — measured the way the bench ran before this
    optimisation round (memo layers off, cache cleared between stages) vs
-   the production configuration (canonical memo and row pruning on, one
-   warm cache across the whole pipeline, as Pipeline.compare_agents runs
+   the production configuration (canonical memo on, one warm cache
+   across the whole pipeline, as Pipeline.compare_agents runs
    it).  The verdicts, witnesses and undecided counts must agree byte for
    byte; only the time may move. *)
 
 let canonical_crosscheck () =
   header
-    "Canonical memo + row pruning, end to end (Packet Out: execute 3 agents,\n\
+    "Canonical memo, end to end (Packet Out: execute 3 agents,\n\
      crosscheck vs Modified and OVS; cold per-stage vs warm production pipeline)";
   let spec = Spec.packet_out () in
   (* the reported facts minus timing must not depend on the optimisations *)
@@ -877,11 +869,11 @@ let canonical_crosscheck () =
     let ga = Soft.Grouping.of_run r_ref in
     let o_mod =
       stage (fun () ->
-          Soft.Crosscheck.check ~jobs:1 ~prune:enabled ga (Soft.Grouping.of_run r_mod))
+          Soft.Crosscheck.check ~jobs:1 ga (Soft.Grouping.of_run r_mod))
     in
     let o_ovs =
       stage (fun () ->
-          Soft.Crosscheck.check ~jobs:1 ~prune:enabled ga (Soft.Grouping.of_run r_ovs))
+          Soft.Crosscheck.check ~jobs:1 ga (Soft.Grouping.of_run r_ovs))
     in
     let dt = Unix.gettimeofday () -. t0 in
     Smt.Solver.set_canon true;
@@ -897,18 +889,12 @@ let canonical_crosscheck () =
   let last = ref None in
   let canonical_hits = ref 0
   and cache_hits = ref 0
-  and sat_calls = ref 0
-  and rows_pruned = ref 0
-  and pairs_skipped = ref 0
-  and subsumed = ref 0 in
+  and sat_calls = ref 0 in
   for _round = 1 to 3 do
     let toff, off_mod, off_ovs = pipeline ~enabled:false in
     let hits0 = st.Smt.Solver.canonical_hits
     and cache0 = st.Smt.Solver.cache_hits
-    and sat0 = st.Smt.Solver.sat_calls
-    and rows0 = st.Smt.Solver.rows_pruned
-    and skip0 = st.Smt.Solver.pairs_skipped_by_pruning
-    and sub0 = st.Smt.Solver.subsumed_groups in
+    and sat0 = st.Smt.Solver.sat_calls in
     let ton, on_mod, on_ovs = pipeline ~enabled:true in
     assert (facts off_mod = facts on_mod);
     assert (facts off_ovs = facts on_ovs);
@@ -917,18 +903,12 @@ let canonical_crosscheck () =
     canonical_hits := st.Smt.Solver.canonical_hits - hits0;
     cache_hits := st.Smt.Solver.cache_hits - cache0;
     sat_calls := st.Smt.Solver.sat_calls - sat0;
-    rows_pruned := st.Smt.Solver.rows_pruned - rows0;
-    pairs_skipped := st.Smt.Solver.pairs_skipped_by_pruning - skip0;
-    subsumed := st.Smt.Solver.subsumed_groups - sub0;
     last := Some (on_mod, on_ovs)
   done;
   let t_off = !t_off and t_on = !t_on in
   let canonical_hits = !canonical_hits
   and cache_hits = !cache_hits
-  and sat_calls = !sat_calls
-  and rows_pruned = !rows_pruned
-  and pairs_skipped = !pairs_skipped
-  and subsumed = !subsumed in
+  and sat_calls = !sat_calls in
   let on_mod, on_ovs =
     match !last with Some p -> p | None -> assert false
   in
@@ -946,8 +926,6 @@ let canonical_crosscheck () =
   Printf.printf
     "warm run: %d canonical hits, %d exact hits, %d SAT calls (hit rate %.3f)\n"
     canonical_hits cache_hits sat_calls hit_rate;
-  Printf.printf "pruning: %d rows pruned (%d pairs skipped, %d via subsumption)\n"
-    rows_pruned pairs_skipped subsumed;
   record "canonical"
     (J_obj
        [
@@ -959,113 +937,6 @@ let canonical_crosscheck () =
          ("cache_hits", J_int cache_hits);
          ("sat_calls", J_int sat_calls);
          ("cache_hit_rate", J_num hit_rate);
-         ("rows_pruned", J_int rows_pruned);
-         ("pairs_skipped_by_pruning", J_int pairs_skipped);
-         ("subsumed_groups", J_int subsumed);
-       ])
-
-(* ---------------------------------------------------------------------- *)
-(* Row pruning on a workload that actually prunes.  The switch agents in
-   the sections above overlap on every row (same parser, same input
-   space), so the end-to-end pipeline reports rows_pruned = 0 and the
-   pruning pass only ever pays its probe-miss cutoff.  This section
-   builds the matrix shape the pruner exists for — agents whose coverage
-   is partially disjoint, the paper's scenario of a build that rejects a
-   message class its peer accepts — so the recorded numbers exercise the
-   prune-hit path end to end. *)
-
-let pruning_crosscheck () =
-  header
-    "Row pruning: disjoint-coverage agents (rows of A that B's inputs never reach)";
-  let x = Smt.Expr.var ~width:16 "prune.x" in
-  let range lo hi =
-    Smt.Expr.and_
-      (Smt.Expr.uge x (Smt.Expr.const ~width:16 (Int64.of_int lo)))
-      (Smt.Expr.ult x (Smt.Expr.const ~width:16 (Int64.of_int hi)))
-  in
-  let mk_group key lo hi =
-    let cond = range lo hi in
-    let result = { Openflow.Trace.trace = [ key ]; crash = None } in
-    {
-      Soft.Grouping.g_result = result;
-      g_key = Openflow.Trace.result_key result;
-      g_cond = cond;
-      g_member_conds = [ cond ];
-      g_path_count = 1;
-    }
-  in
-  let mk_grouped agent groups =
-    {
-      Soft.Grouping.gr_agent = agent;
-      gr_test = "synthetic-prune";
-      gr_groups = groups;
-      gr_group_time = 0.0;
-    }
-  in
-  (* A: 14 rows entirely above B's coverage (each prunable with one probe
-     against common(B)), then 6 rows inside it (crosschecked pairwise);
-     B: 8 small ranges below 50.  Result keys all distinct, so no pair is
-     skipped as equal — every skip below is the pruner's doing. *)
-  let a =
-    mk_grouped "disjoint-a"
-      (List.init 14 (fun k ->
-           mk_group (Printf.sprintf "a-high:%d" k) (100 + (40 * k)) (140 + (40 * k)))
-      @ List.init 6 (fun k -> mk_group (Printf.sprintf "a-low:%d" k) (8 * k) ((8 * k) + 8)))
-  in
-  let b =
-    mk_grouped "disjoint-b"
-      (List.init 8 (fun j -> mk_group (Printf.sprintf "b:%d" j) (6 * j) ((6 * j) + 6)))
-  in
-  let facts (o : Soft.Crosscheck.outcome) =
-    ( List.map
-        (fun (inc : Soft.Crosscheck.inconsistency) ->
-          ( Openflow.Trace.result_key inc.Soft.Crosscheck.i_result_a,
-            Openflow.Trace.result_key inc.i_result_b,
-            List.map
-              (fun (v, value) -> (Smt.Expr.var_name v, Smt.Expr.var_width v, value))
-              (Smt.Model.bindings inc.i_witness) ))
-        o.Soft.Crosscheck.o_inconsistencies,
-      o.o_pairs_undecided )
-  in
-  let measure prune =
-    Smt.Solver.clear_cache ();
-    let t0 = Unix.gettimeofday () in
-    let o = Soft.Crosscheck.check ~jobs:1 ~prune a b in
-    (o, Unix.gettimeofday () -. t0)
-  in
-  let st = Smt.Solver.stats () in
-  let o_off, t_off = measure false in
-  let rows0 = st.Smt.Solver.rows_pruned
-  and skip0 = st.Smt.Solver.pairs_skipped_by_pruning
-  and sub0 = st.Smt.Solver.subsumed_groups in
-  let o_on, t_on = measure true in
-  let rows_pruned = st.Smt.Solver.rows_pruned - rows0 in
-  let pairs_skipped = st.Smt.Solver.pairs_skipped_by_pruning - skip0 in
-  let subsumed = st.Smt.Solver.subsumed_groups - sub0 in
-  (* the report must not depend on the pruning pass *)
-  assert (facts o_off = facts o_on);
-  assert (rows_pruned > 0);
-  let pairs = o_on.Soft.Crosscheck.o_pairs_checked in
-  let speedup = if t_on > 0.0 then t_off /. t_on else 0.0 in
-  Printf.printf
-    "%d pairs; no pruning: %6.3fs, pruning: %6.3fs => %.2fx\n\
-     %d of %d rows pruned (%d pairs skipped, %d via subsumption), %d inconsistencies\n"
-    pairs t_off t_on speedup rows_pruned
-    (List.length a.Soft.Grouping.gr_groups)
-    pairs_skipped subsumed
-    (Soft.Crosscheck.count o_on);
-  record "pruning"
-    (J_obj
-       [
-         ("pairs_checked", J_int pairs);
-         ("disabled_time", J_num t_off);
-         ("enabled_time", J_num t_on);
-         ("speedup", J_num speedup);
-         ("rows_total", J_int (List.length a.Soft.Grouping.gr_groups));
-         ("rows_pruned", J_int rows_pruned);
-         ("pairs_skipped_by_pruning", J_int pairs_skipped);
-         ("subsumed_groups", J_int subsumed);
-         ("inconsistencies", J_int (Soft.Crosscheck.count o_on));
        ])
 
 (* ---------------------------------------------------------------------- *)
@@ -1400,7 +1271,6 @@ let () =
   ablation parallel_crosscheck;
   ablation incremental_crosscheck;
   ablation canonical_crosscheck;
-  ablation pruning_crosscheck;
   supervised_crosscheck ();
   exploration_bench ();
   service_bench ();

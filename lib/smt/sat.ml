@@ -59,24 +59,7 @@ type t = {
   mutable propagations : int;
   mutable decisions : int; (* cumulative, for the decision budget *)
   mutable nlearnts : int; (* learnt clauses in the database *)
-  mutable failed : int list; (* failed assumptions of the last Unsat *)
   mutable proof : proof_log option;
-  mutable exchange : exchange option; (* cross-domain learnt-clause exchange *)
-}
-
-(* Cross-domain learnt-clause exchange, as a pair of closures so the SAT
-   core stays decoupled from the ring's implementation (and from who
-   counts what).  SOUNDNESS CONTRACT: the attaching caller guarantees
-   that every clause [ex_import] returns is implied by this instance's
-   problem clauses alone — the shared-base discipline (instances that
-   are copies of one frozen prefix and never receive further problem
-   clauses) provides exactly that.  Never attach an exchange to an
-   instance that grows per-query clauses, and never together with proof
-   logging: imported clauses are not RUP-derivable steps of *this*
-   instance's log. *)
-and exchange = {
-  ex_export : int array -> unit; (* called with a private copy of the learnt *)
-  ex_import : unit -> int array list; (* new foreign clauses since last call *)
 }
 
 let lit_var l = l lsr 1
@@ -108,57 +91,8 @@ let create () =
     propagations = 0;
     decisions = 0;
     nlearnts = 0;
-    failed = [];
     proof = None;
-    exchange = None;
   }
-
-(* Deep copy of an instance.  The intended use is the shared blasted
-   base: one domain blasts a formula once, freezes the instance, and
-   every worker adopts a private copy instead of re-blasting — so [copy]
-   must be safe to call concurrently from several domains on an instance
-   nobody mutates.  Clause literal arrays are duplicated (watch
-   maintenance physically reorders them during propagation); the watch
-   lists are immutable OCaml lists, so copying the spine array suffices. *)
-let copy s =
-  {
-    nvars = s.nvars;
-    clauses =
-      Array.init (Array.length s.clauses) (fun i ->
-          if i < s.nclauses then
-            let c = s.clauses.(i) in
-            { c with lits = Array.copy c.lits }
-          else s.clauses.(i));
-    nclauses = s.nclauses;
-    watches = Array.copy s.watches;
-    assigns = Array.copy s.assigns;
-    level = Array.copy s.level;
-    reason = Array.copy s.reason;
-    trail = Array.copy s.trail;
-    trail_size = s.trail_size;
-    trail_lim = Array.copy s.trail_lim;
-    ndecisions = s.ndecisions;
-    qhead = s.qhead;
-    activity = Array.copy s.activity;
-    polarity = Array.copy s.polarity;
-    var_inc = s.var_inc;
-    heap = Array.copy s.heap;
-    heap_size = s.heap_size;
-    heap_pos = Array.copy s.heap_pos;
-    ok = s.ok;
-    conflicts = s.conflicts;
-    propagations = s.propagations;
-    decisions = s.decisions;
-    nlearnts = s.nlearnts;
-    failed = s.failed;
-    proof =
-      (match s.proof with
-      | None -> None
-      | Some p -> Some { p_orig_rev = p.p_orig_rev; p_steps_rev = p.p_steps_rev });
-    exchange = None;
-  }
-
-let attach_exchange s ex = s.exchange <- Some ex
 
 (* --- proof logging --------------------------------------------------- *)
 
@@ -467,36 +401,10 @@ let analyze s confl =
   let learnt = lit_neg !p :: !learnt in
   (learnt, !btlevel)
 
-(* Literal-block distance of a learnt clause: distinct decision levels
-   among its literals.  Must be computed at conflict time, before the
-   backjump invalidates the levels.  Glue clauses (LBD <= 2) are the
-   classic high-value exchange candidates: they bridge exactly one
-   decision level and tend to stay relevant across restarts — and across
-   workers solving assumption variants of the same base. *)
-let lbd s lits =
-  let levels = ref [] in
-  List.iter
-    (fun l ->
-      let lv = s.level.(lit_var l) in
-      if lv > 0 && not (List.mem lv !levels) then levels := lv :: !levels)
-    lits;
-  List.length !levels
-
-let max_export_lbd = 2
-let max_export_len = 32
-
 let record_learnt s lits btlevel =
   (* log a private copy: the stored clause's literal array is physically
      reordered by watch maintenance during later propagation *)
   log_step s (P_add (Array.of_list lits));
-  (match s.exchange with
-  | Some ex
-    when (match lits with [] -> false | _ -> true)
-         && List.length lits <= max_export_len
-         && lbd s lits <= max_export_lbd ->
-    (* before [cancel_until]: the LBD needs conflict-time levels *)
-    ex.ex_export (Array.of_list lits)
-  | _ -> ());
   cancel_until s btlevel;
   match lits with
   | [] -> s.ok <- false
@@ -516,80 +424,6 @@ let record_learnt s lits btlevel =
     s.nlearnts <- s.nlearnts + 1;
     watch_clause s ci;
     enqueue s l ci
-
-(* Which assumptions are to blame for assumption literal [l] arriving
-   already false at its decision point: walk the trail top-down from the
-   implied complement, expanding propagation reasons and collecting the
-   decisions reached — during assumption selection every live decision is
-   an assumption.  The result (including [l] itself) is an inconsistent
-   subset of the call's assumptions: the final conflict clause is the
-   disjunction of their negations. *)
-let analyze_final s l =
-  let v0 = lit_var l in
-  if s.level.(v0) = 0 then [ l ]
-  else begin
-    let seen = Bytes.make s.nvars '\000' in
-    Bytes.set seen v0 '\001';
-    let failed = ref [ l ] in
-    let bound = if s.ndecisions > 0 then s.trail_lim.(0) else s.trail_size in
-    for i = s.trail_size - 1 downto bound do
-      let v = lit_var s.trail.(i) in
-      if Bytes.get seen v = '\001' then begin
-        if s.reason.(v) >= 0 then begin
-          let c = s.clauses.(s.reason.(v)) in
-          Array.iter
-            (fun q ->
-              let u = lit_var q in
-              if u <> v && s.level.(u) > 0 then Bytes.set seen u '\001')
-            c.lits
-        end
-        else failed := s.trail.(i) :: !failed;
-        Bytes.set seen v '\000'
-      end
-    done;
-    !failed
-  end
-
-(* --- learnt-clause import ------------------------------------------- *)
-
-(* Insert one imported clause at decision level 0.  Mirrors [add_clause]'s
-   level-0 simplification but: the clause enters the database as learnt
-   (it counts toward [learnt_count], like the locally derived clauses it
-   replaces), it is never proof-logged (the exchange is only attached on
-   the non-certify shared-base path; an imported clause is implied by the
-   shared prefix, not RUP-derivable from this instance's own log), and it
-   is not recorded as an original clause.  An import that simplifies to
-   the empty clause proves the shared prefix itself unsatisfiable —
-   propagating that to [ok] is sound for every future query. *)
-let import_clause s lits_arr =
-  if s.ok then begin
-    let lits = List.sort_uniq compare (Array.to_list lits_arr) in
-    let tauto =
-      List.exists (fun l -> List.exists (fun l' -> l' = lit_neg l) lits) lits
-    in
-    if not tauto then begin
-      let lits = List.filter (fun l -> lit_value s l <> 2) lits in
-      if List.exists (fun l -> lit_value s l = 1) lits then ()
-      else
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] -> enqueue s l (-1)
-        | _ ->
-          let arr = Array.of_list lits in
-          let ci = push_clause s { lits = arr; learnt = true } in
-          s.nlearnts <- s.nlearnts + 1;
-          watch_clause s ci
-    end
-  end
-
-(* Drain the exchange into this instance.  Called only with the trail at
-   decision level 0 — solve entry and restart boundaries — so the
-   simplification in [import_clause] filters against permanent
-   assignments only. *)
-let import_exchange s =
-  match s.exchange with
-  | None -> ()
-  | Some ex -> List.iter (fun c -> import_clause s c) (ex.ex_import ())
 
 (* --- main loop ------------------------------------------------------ *)
 
@@ -635,7 +469,7 @@ let decide s =
    [assumptions] are literals decided before any free decision, one per
    decision level, MiniSat-style: they hold for this call only.  An
    [Unsat] under non-empty assumptions means "unsat under these
-   assumptions" (the failed subset is in {!failed_assumptions}); it does
+   assumptions"; it does
    not poison the instance, and no empty clause is derived or logged —
    which is also why certify mode solves from scratch instead. *)
 let no_assumptions = [||]
@@ -644,8 +478,6 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
   (* unwind whatever a previous call left assigned: clauses, activities
      and phases persist across calls, the trail does not *)
   cancel_until s 0;
-  import_exchange s;
-  s.failed <- [];
   if not s.ok then Unsat
   else begin
     let nassume = Array.length assumptions in
@@ -675,8 +507,7 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
     in
     (* pick the next branch: the call's assumptions first, in order, then
        VSIDS.  [`A_sat]: every variable is assigned; [`A_failed]: an
-       assumption is already falsified by the trail — the failed subset
-       has been extracted. *)
+       assumption is already falsified by the trail. *)
     let rec assume_or_decide () =
       if s.ndecisions < nassume then begin
         let l = assumptions.(s.ndecisions) in
@@ -686,9 +517,7 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
           s.trail_lim.(s.ndecisions) <- s.trail_size;
           s.ndecisions <- s.ndecisions + 1;
           assume_or_decide ()
-        | 2 ->
-          s.failed <- analyze_final s l;
-          `A_failed
+        | 2 -> `A_failed
         | _ ->
           s.decisions <- s.decisions + 1;
           s.trail_lim.(s.ndecisions) <- s.trail_size;
@@ -730,10 +559,6 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
         end
         else if !conflicts_here >= conflict_budget then begin
           cancel_until s 0;
-          (* restart boundary: the cheapest moment to adopt other
-             workers' glue clauses — the trail is at level 0, so the
-             level-0 simplification in [import_clause] applies cleanly *)
-          import_exchange s;
           restart := true
         end
         else
@@ -762,8 +587,3 @@ let stats s = (s.conflicts, s.propagations, s.nvars, s.nclauses)
 let decisions s = s.decisions
 
 let learnt_count s = s.nlearnts
-
-(* Valid after an [Unsat] answer from a [solve] with assumptions: the
-   subset of that call's assumptions the conflict actually used.  Empty
-   after a global (assumption-free) Unsat. *)
-let failed_assumptions s = s.failed

@@ -27,14 +27,6 @@ type t
 
 val create : unit -> t
 
-val copy : t -> t
-(** A deep, private copy of the instance: clauses (with private literal
-    arrays), watches, trail, activities, phases, counters.  Safe to call
-    concurrently from several domains on an instance nobody mutates —
-    the shared-blasted-base path freezes one instance and has every
-    worker domain adopt a [copy] instead of re-blasting.  The copy's
-    learnt-clause exchange is detached (see {!attach_exchange}). *)
-
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
@@ -54,8 +46,7 @@ val solve :
 (** Decide the instance under the call's [assumptions] (literals decided
     first, one per decision level, holding for this call only — MiniSat
     style).  [Unsat] under non-empty assumptions means unsat {e under
-    those assumptions}; the instance stays usable and
-    {!failed_assumptions} names the subset the conflict used.  No empty
+    those assumptions}; the instance stays usable.  No empty
     clause is derived in that case, so the DRUP log of an
     assumption-failure answer does not certify it — certify mode must
     solve from scratch instead.
@@ -65,35 +56,6 @@ val solve :
     With no budgets the search runs to completion.  On budget exhaustion
     the result is [Unknown] and the instance remains usable (the search is
     unwound to decision level 0). *)
-
-type exchange = {
-  ex_export : int array -> unit;
-      (** receives a private copy of each low-LBD learnt clause, at
-          conflict time *)
-  ex_import : unit -> int array list;
-      (** polled at solve entry and at every restart boundary; must
-          return clauses implied by this instance's problem clauses *)
-}
-(** Cross-domain learnt-clause exchange as closures, keeping the core
-    decoupled from the ring buffer ({!Exchange}) that implements them. *)
-
-val attach_exchange : t -> exchange -> unit
-(** Attach an exchange to this instance: learnt clauses with LBD ≤ 2
-    (and ≤ 32 literals) are exported through [ex_export]; [ex_import] is
-    drained at solve entry and restart boundaries, inserting the
-    returned clauses as learnt clauses with level-0 simplification.
-
-    SOUNDNESS: the caller guarantees every imported clause is implied by
-    this instance's problem clauses alone.  The shared-base discipline
-    provides this (all participants are {!copy}s of one frozen prefix
-    and never receive further problem clauses).  Never attach together
-    with proof logging — imported clauses are not steps of this
-    instance's DRUP log. *)
-
-val failed_assumptions : t -> int list
-(** After an [Unsat] from a {!solve} with assumptions: the subset of that
-    call's assumptions the final conflict used (an inconsistent core, not
-    necessarily minimal).  Empty after a global, assumption-free Unsat. *)
 
 val learnt_count : t -> int
 (** Learnt clauses currently in the database — what an incremental session

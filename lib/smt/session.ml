@@ -10,7 +10,10 @@
    query the guard is retired with a unit [¬g], permanently satisfying
    the previous query's guarded clauses while keeping every learnt
    clause, variable activity and saved phase for the rest of the run —
-   the amortization the crosscheck's row-major loop exploits.
+   the amortization the crosscheck's row-major loop exploits.  A session
+   lives and dies inside one row task, so its state — and therefore any
+   budgeted Unknown — is a function of that row's queries alone, at any
+   worker count.
 
    Queries go through {!Solver.check_with}, so a session query sees the
    exact frontend pipeline a scratch {!Solver.check} sees: constant
@@ -58,7 +61,7 @@ let create base =
    literal.  Mirrors [Solver.run_sat] step for step — deadline anchored
    before blasting, hook fired between anchoring and search — so budget
    accounting and fault delivery match scratch mode. *)
-let core ?(on_unsat = fun _ -> ()) t budget conds =
+let core t budget conds =
   Cancel.poll ();
   let st = Solver.stats () in
   let sat = t.bctx.Bitblast.sat in
@@ -89,12 +92,7 @@ let core ?(on_unsat = fun _ -> ()) t budget conds =
   in
   st.Solver.solver_time <- st.Solver.solver_time +. Mono.elapsed t0;
   match r with
-  | Sat.Unsat ->
-    (* the failed-assumption core attributes the refutation: an empty
-       core means the base alone (plus unguarded unit clauses) is
-       contradictory; a non-empty one implicates this query's guard *)
-    on_unsat (Sat.failed_assumptions sat);
-    Solver.Unsat
+  | Sat.Unsat -> Solver.Unsat
   | Sat.Unknown Sat.Conflicts -> Solver.Unknown Solver.Out_of_conflicts
   | Sat.Unknown Sat.Decisions -> Solver.Unknown Solver.Out_of_decisions
   | Sat.Unknown Sat.Time -> Solver.Unknown Solver.Out_of_time
@@ -116,157 +114,3 @@ let check ?use_interval ?use_cache ?budget t conds =
        scratch path instead (see header) *)
     Solver.check ?use_interval ?use_cache ?budget conds
   else Solver.check_with ?use_interval ?use_cache ?budget ~core:(core t) conds
-
-(* --- shared blasted base -------------------------------------------------
-
-   A [shared] value is the parallel crosscheck's answer to each worker
-   re-blasting the same condition set: every path condition of both
-   agents is Tseitin-blasted ONCE, into one frozen SAT instance, and
-   each worker domain adopts a {!Sat.copy} of that instance on first
-   touch.  Crucially the conditions are blasted with {!Bitblast.blast_bool}
-   but never asserted: the prefix holds only Tseitin definitions (plus
-   the [tru] unit), so it is satisfiable by construction, and a query
-   [c₁ ∧ … ∧ cₙ] is decided purely under assumptions — the defining
-   literals of the cᵢ.  No per-query clause ever enters an adopted
-   instance, which is exactly the discipline that makes cross-domain
-   learnt-clause exchange sound (see [exchange.ml]): every clause any
-   adopted copy learns is implied by the common prefix alone.
-
-   Adoption is per-(domain, shared base), memoized in domain-local
-   state; the frozen original is never solved on, so concurrent
-   [Sat.copy]s from many domains are safe.  Answers stay byte-identical
-   to scratch mode by the same two rules as row sessions: Sat answers
-   are confirmed by a hook-suppressed scratch solve (canonical witness),
-   Unsat answers are published directly. *)
-
-type shared = {
-  sh_id : int; (* key for per-domain adoption memo *)
-  sh_sat : Sat.t; (* the frozen prefix; adopted via Sat.copy, never solved *)
-  sh_lits : (int, int) Hashtbl.t; (* expr bid -> defining literal *)
-  sh_ring : Exchange.t option; (* learnt-clause exchange, if enabled *)
-}
-
-let next_shared_id = Atomic.make 0
-
-let make_shared ?ring conds =
-  let bctx = Bitblast.create () in
-  let sh_lits = Hashtbl.create (List.length conds * 2) in
-  List.iter
-    (fun (b : Expr.boolean) ->
-      if not (Hashtbl.mem sh_lits b.Expr.bid) then
-        Hashtbl.replace sh_lits b.Expr.bid (Bitblast.blast_bool bctx b))
-    conds;
-  {
-    sh_id = Atomic.fetch_and_add next_shared_id 1;
-    sh_sat = bctx.Bitblast.sat;
-    sh_lits;
-    sh_ring = ring;
-  }
-
-(* per-domain memo of adopted copies, keyed by [sh_id] *)
-let adopted_key : (int, Sat.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let adopt sh =
-  let tbl = Domain.DLS.get adopted_key in
-  match Hashtbl.find_opt tbl sh.sh_id with
-  | Some sat -> sat
-  | None ->
-    let st = Solver.stats () in
-    st.Solver.bases_adopted <- st.Solver.bases_adopted + 1;
-    let sat = Sat.copy sh.sh_sat in
-    (match sh.sh_ring with
-    | None -> ()
-    | Some ring ->
-      let ep = Exchange.register ring in
-      Sat.attach_exchange sat
-        {
-          Sat.ex_export =
-            (fun lits ->
-              st.Solver.clauses_exported <- st.Solver.clauses_exported + 1;
-              Exchange.publish ep lits);
-          ex_import =
-            (fun () ->
-              let cs = Exchange.drain ep in
-              st.Solver.clauses_imported <-
-                st.Solver.clauses_imported + List.length cs;
-              cs);
-        });
-    Hashtbl.replace tbl sh.sh_id sat;
-    sat
-
-let release sh = Hashtbl.remove (Domain.DLS.get adopted_key) sh.sh_id
-
-(* The shared-base back end for [Solver.check_with]: mirrors [core] above
-   step for step (anchor, hook, budgets, Sat-confirm, Unknown mapping),
-   except the query is decided entirely under assumptions — one defining
-   literal per conjunct — on this domain's adopted copy.  A conjunct
-   missing from the shared prefix (not expected from the crosscheck, but
-   legal) falls back to a plain scratch solve, whose own hook firing
-   keeps the fault-injection stream at one draw per query. *)
-let shared_core sh budget conds =
-  Cancel.poll ();
-  match
-    List.map (fun (b : Expr.boolean) -> Hashtbl.find_opt sh.sh_lits b.Expr.bid) conds
-  with
-  | lits when List.exists Option.is_none lits -> Solver.solve_scratch budget conds
-  | lits ->
-    let assumptions = Array.of_list (List.filter_map Fun.id lits) in
-    let st = Solver.stats () in
-    let sat = adopt sh in
-    let t0 = Mono.now () in
-    let retained = Sat.learnt_count sat in
-    let deadline =
-      Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0)) budget.Solver.b_timeout_ms
-    in
-    Solver.run_query_hook ();
-    st.Solver.sat_calls <- st.Solver.sat_calls + 1;
-    st.Solver.assumption_solves <- st.Solver.assumption_solves + 1;
-    st.Solver.shared_solves <- st.Solver.shared_solves + 1;
-    st.Solver.learnt_retained <- st.Solver.learnt_retained + retained;
-    let r =
-      Sat.solve ~assumptions ?max_conflicts:budget.Solver.b_max_conflicts
-        ?max_decisions:budget.Solver.b_max_decisions ?deadline sat
-    in
-    st.Solver.solver_time <- st.Solver.solver_time +. Mono.elapsed t0;
-    (match r with
-    | Sat.Unsat -> Solver.Unsat
-    | Sat.Unknown Sat.Conflicts -> Solver.Unknown Solver.Out_of_conflicts
-    | Sat.Unknown Sat.Decisions -> Solver.Unknown Solver.Out_of_decisions
-    | Sat.Unknown Sat.Time -> Solver.Unknown Solver.Out_of_time
-    | Sat.Sat -> (
-      match Solver.solve_scratch ~fire_hook:false budget conds with
-      | Solver.Sat _ as s -> s
-      | Solver.Unsat ->
-        raise
-          (Solver.Solver_error
-             ( "shared-base session answered Sat but the scratch confirmation is Unsat",
-               conds ))
-      | Solver.Unknown _ as u -> u))
-
-let check_shared ?use_interval ?use_cache ?budget sh conds =
-  if Solver.certify_enabled () then
-    (* same exception as row sessions: an assumption-failure Unsat has no
-       replayable DRUP derivation *)
-    Solver.check ?use_interval ?use_cache ?budget conds
-  else
-    Solver.check_with ?use_interval ?use_cache ?budget ~core:(shared_core sh) conds
-
-type attribution = Base_refuted | Assumptions_refuted
-
-let check_attributed ?use_interval ?use_cache ?budget t conds =
-  if Solver.certify_enabled () then
-    (Solver.check ?use_interval ?use_cache ?budget conds, None)
-  else begin
-    (* only an Unsat that actually reached the assumption solve carries a
-       failed core; frontend short-circuits (constant folding, memo or
-       canonical hit, interval filter) leave the attribution [None] *)
-    let attr = ref None in
-    let on_unsat failed =
-      attr := Some (if failed = [] then Base_refuted else Assumptions_refuted)
-    in
-    let r =
-      Solver.check_with ?use_interval ?use_cache ?budget ~core:(core ~on_unsat t) conds
-    in
-    (r, !attr)
-  end

@@ -17,7 +17,10 @@
     Unsat.  See [session.ml]'s header for the full argument.
 
     Sessions are single-domain values: create and use a session on the
-    same domain (its counters and query hook are that domain's). *)
+    same domain (its counters and query hook are that domain's).  The
+    crosscheck opens one per row task, so a budgeted [Unknown] depends
+    only on that row's own query sequence, never on how rows were
+    scheduled across domains. *)
 
 type t
 
@@ -39,74 +42,3 @@ val check :
     Options mean exactly what they mean on {!Solver.check}.  [Unknown]
     means the budget bit; callers retry with {!Solver.check} (scratch)
     and should count the fallback in [scratch_fallbacks]. *)
-
-(** {1 Shared blasted base}
-
-    The parallel crosscheck's alternative to per-row sessions: every
-    path condition of both agents is Tseitin-blasted once (definitions
-    only — nothing asserted, so the prefix is satisfiable by
-    construction) into one frozen SAT instance, and each worker domain
-    adopts a private {!Sat.copy} on first use instead of re-blasting.
-    Queries are decided purely under assumptions (the conjuncts'
-    defining literals), so adopted instances never gain problem
-    clauses — the invariant that makes cross-domain learnt-clause
-    exchange sound. *)
-
-type shared
-
-val make_shared : ?ring:Exchange.t -> Expr.boolean list -> shared
-(** [make_shared conds] blasts every condition (memoized by expr id)
-    into the frozen prefix.  With [?ring], adopted copies additionally
-    export their low-LBD learnt clauses to — and import from — the
-    given exchange ring.  The value is immutable and safe to share
-    across domains. *)
-
-val adopt : shared -> Sat.t
-(** The calling domain's adopted copy, created ({!Sat.copy} + exchange
-    attachment, bumping [bases_adopted]) on first call and memoized in
-    domain-local state thereafter.  Exposed for tests; {!check_shared}
-    adopts internally. *)
-
-val release : shared -> unit
-(** Drop the calling domain's adopted copy (if any) from the
-    domain-local memo, releasing its memory.  The next {!check_shared}
-    on this domain re-adopts. *)
-
-val check_shared :
-  ?use_interval:bool ->
-  ?use_cache:bool ->
-  ?budget:Solver.budget ->
-  shared ->
-  Expr.boolean list ->
-  Solver.result
-(** {!Solver.check}-identical answers decided by an assumption solve on
-    the calling domain's adopted copy: same frontend pipeline
-    ({!Solver.check_with}), same one-hook-draw-per-query discipline,
-    Sat answers confirmed by a hook-suppressed scratch solve, certify
-    mode auto-falls back to the proof-checked scratch path.  A conjunct
-    that was not part of [make_shared]'s condition set is handled by a
-    plain scratch solve.  Bumps [shared_solves] per assumption solve. *)
-
-type attribution =
-  | Base_refuted
-      (** the failed-assumption core was empty: the session's base (plus
-          the query's unguarded units) is contradictory on its own, so
-          {e every} query of this session is Unsat *)
-  | Assumptions_refuted
-      (** the conflict used this query's activation guard: the verdict
-          implicates the query's own conjuncts, not the base alone *)
-
-val check_attributed :
-  ?use_interval:bool ->
-  ?use_cache:bool ->
-  ?budget:Solver.budget ->
-  t ->
-  Expr.boolean list ->
-  Solver.result * attribution option
-(** {!check}, additionally reporting — for an Unsat decided by the
-    in-session assumption solve — which side the SAT core's failed-
-    assumption set implicates.  The attribution is [None] whenever the
-    answer did not come from the assumption solve: frontend
-    short-circuits (constant folding, memo/canonical hits, the interval
-    filter) and the certify-mode scratch fallback.  The crosscheck's
-    row-pruning pass logs it to attribute each pruned row. *)

@@ -71,14 +71,14 @@ type stats = {
   mutable sessions_opened : int;
   mutable assumption_solves : int;
   mutable scratch_fallbacks : int;
-  mutable tiny_session_fallbacks : int;
+  mutable tiny_session_fallbacks : int; (* always 0, see solver.mli *)
   mutable learnt_retained : int;
   mutable canonical_hits : int;
   mutable canon_small_skips : int;
   mutable canon_threshold_nodes : int;
+  (* the next six are always 0, see solver.mli *)
   mutable rows_pruned : int;
   mutable pairs_skipped_by_pruning : int;
-  mutable subsumed_groups : int;
   mutable shared_solves : int;
   mutable bases_adopted : int;
   mutable clauses_exported : int;
@@ -109,7 +109,6 @@ let fresh_stats () = {
   canon_threshold_nodes = 0;
   rows_pruned = 0;
   pairs_skipped_by_pruning = 0;
-  subsumed_groups = 0;
   shared_solves = 0;
   bases_adopted = 0;
   clauses_exported = 0;
@@ -266,18 +265,10 @@ let reset_stats () =
   s.sessions_opened <- 0;
   s.assumption_solves <- 0;
   s.scratch_fallbacks <- 0;
-  s.tiny_session_fallbacks <- 0;
   s.learnt_retained <- 0;
   s.canonical_hits <- 0;
   s.canon_small_skips <- 0;
   s.canon_threshold_nodes <- 0;
-  s.rows_pruned <- 0;
-  s.pairs_skipped_by_pruning <- 0;
-  s.subsumed_groups <- 0;
-  s.shared_solves <- 0;
-  s.bases_adopted <- 0;
-  s.clauses_exported <- 0;
-  s.clauses_imported <- 0;
   s.expr_nodes <- 0
 
 (* [expr_nodes] is a gauge over a single global table, not a per-domain
@@ -303,19 +294,11 @@ let merge_stats ~into:dst (src : stats) =
   dst.sessions_opened <- dst.sessions_opened + src.sessions_opened;
   dst.assumption_solves <- dst.assumption_solves + src.assumption_solves;
   dst.scratch_fallbacks <- dst.scratch_fallbacks + src.scratch_fallbacks;
-  dst.tiny_session_fallbacks <- dst.tiny_session_fallbacks + src.tiny_session_fallbacks;
   dst.learnt_retained <- dst.learnt_retained + src.learnt_retained;
   dst.canonical_hits <- dst.canonical_hits + src.canonical_hits;
   dst.canon_small_skips <- dst.canon_small_skips + src.canon_small_skips;
   (* a gauge (the configured cutoff), not a counter: max, like expr_nodes *)
   dst.canon_threshold_nodes <- max dst.canon_threshold_nodes src.canon_threshold_nodes;
-  dst.rows_pruned <- dst.rows_pruned + src.rows_pruned;
-  dst.pairs_skipped_by_pruning <- dst.pairs_skipped_by_pruning + src.pairs_skipped_by_pruning;
-  dst.subsumed_groups <- dst.subsumed_groups + src.subsumed_groups;
-  dst.shared_solves <- dst.shared_solves + src.shared_solves;
-  dst.bases_adopted <- dst.bases_adopted + src.bases_adopted;
-  dst.clauses_exported <- dst.clauses_exported + src.clauses_exported;
-  dst.clauses_imported <- dst.clauses_imported + src.clauses_imported;
   dst.expr_nodes <- max dst.expr_nodes src.expr_nodes
 
 (* --- memo cache ------------------------------------------------------- *)
@@ -722,19 +705,8 @@ let pp_stats fmt () =
   if s.sessions_opened > 0 then
     Format.fprintf fmt " sessions=%d assumption_solves=%d fallbacks=%d learnt_retained=%d"
       s.sessions_opened s.assumption_solves s.scratch_fallbacks s.learnt_retained;
-  if s.tiny_session_fallbacks > 0 then
-    Format.fprintf fmt " tiny_session_fallbacks=%d" s.tiny_session_fallbacks;
   if s.canonical_hits > 0 then
     Format.fprintf fmt " canonical_hits=%d" s.canonical_hits;
   if s.canon_small_skips > 0 then
     Format.fprintf fmt " canon_small_skips=%d (threshold=%d nodes)"
       s.canon_small_skips s.canon_threshold_nodes;
-  if s.bases_adopted > 0 then
-    Format.fprintf fmt " shared_solves=%d bases_adopted=%d"
-      s.shared_solves s.bases_adopted;
-  if s.clauses_exported > 0 || s.clauses_imported > 0 then
-    Format.fprintf fmt " clauses_exported=%d clauses_imported=%d"
-      s.clauses_exported s.clauses_imported;
-  if s.rows_pruned > 0 || s.subsumed_groups > 0 then
-    Format.fprintf fmt " rows_pruned=%d pairs_skipped=%d subsumed_groups=%d"
-      s.rows_pruned s.pairs_skipped_by_pruning s.subsumed_groups

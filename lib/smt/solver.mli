@@ -158,9 +158,7 @@ type stats = {
       (** queries answered by an in-session assumption solve *)
   mutable scratch_fallbacks : int;
       (** session queries re-run from scratch after an in-session Unknown *)
-  mutable tiny_session_fallbacks : int;
-      (** crosscheck rows solved scratch because they held too few pairs
-          for a session's bit-blast prefix to pay for itself *)
+  mutable tiny_session_fallbacks : int;  (** always 0; kept because softbench reads it *)
   mutable learnt_retained : int;
       (** learnt clauses already in a session's database when an
           assumption solve started — the reuse incrementality buys *)
@@ -174,26 +172,12 @@ type stats = {
   mutable canon_threshold_nodes : int;
       (** gauge: the node-count cutoff in force when small queries were
           skipped; merged with [max], not [+] *)
-  mutable rows_pruned : int;
-      (** crosscheck rows skipped wholesale because the row condition is
-          unsatisfiable against the other side's common constraint *)
-  mutable pairs_skipped_by_pruning : int;
-      (** pairwise checks avoided by row pruning and row subsumption *)
-  mutable subsumed_groups : int;
-      (** row-prune probes avoided because the row's condition is
-          subsumed by an already-pruned row's condition *)
-  mutable shared_solves : int;
-      (** queries answered by an assumption solve on an adopted copy of
-          the shared blasted base *)
-  mutable bases_adopted : int;
-      (** shared-base adoptions: one per (domain, shared base) — the
-          number of [Sat.copy]s made in place of full re-blasts *)
-  mutable clauses_exported : int;
-      (** low-LBD learnt clauses this domain published to the
-          cross-domain exchange ring *)
-  mutable clauses_imported : int;
-      (** learnt clauses this domain pulled from the exchange ring at
-          solve entries and restart boundaries *)
+  mutable rows_pruned : int;  (** always 0; kept because softbench reads it *)
+  mutable pairs_skipped_by_pruning : int;  (** always 0; kept because softbench reads it *)
+  mutable shared_solves : int;  (** always 0; kept because softbench reads it *)
+  mutable bases_adopted : int;  (** always 0; kept because softbench reads it *)
+  mutable clauses_exported : int;  (** always 0; kept because softbench reads it *)
+  mutable clauses_imported : int;  (** always 0; kept because softbench reads it *)
   mutable expr_nodes : int;
       (** gauge: total nodes in the global {!Expr} hash-cons tables at the
           last {!capture_expr_stats}; merged with [max], not [+] *)
@@ -207,9 +191,10 @@ val stats : unit -> stats
 val reset_stats : unit -> unit
 
 val merge_stats : into:stats -> stats -> unit
-(** [merge_stats ~into src] adds every counter of [src] into [into] —
-    except [expr_nodes], a gauge over one global table, which merges with
-    [max] so folding several workers never double-counts shared nodes.
+(** [merge_stats ~into src] adds every counter of [src] into [into],
+    skipping the always-0 fields.  [expr_nodes], a gauge over one global
+    table, merges with [max] instead, so folding several workers never
+    double-counts shared nodes.
     Parallel drivers use it to fold worker-domain counters into the
     parent's record after the workers have quiesced; it performs no
     synchronization of its own. *)

@@ -20,12 +20,18 @@
      it left off instead of starting over.
 
    And one amortization: every query of row [i] shares the full conjunct
-   C_A(i) with every other query in the row, so by default the solve pass
-   is row-major over incremental {!Smt.Session}s — C_A(i) is blasted once
-   as hard clauses, each C_B(j) rides on an activation literal, and learnt
-   clauses/activities/phases carry across the row.  Reports stay
-   byte-identical to scratch mode (see [session.ml]); [~incremental:false]
-   restores the per-pair scratch loop. *)
+   C_A(i) with every other query in the row, so the solve stage is
+   row-major over incremental {!Smt.Session}s — C_A(i) is blasted once as
+   hard clauses, each C_B(j) rides on an activation literal, and learnt
+   clauses/activities/phases carry across the row.  That is the one fast
+   path, at every budget and every [-j]; the per-pair scratch loop
+   ([~incremental:false]) is the reference it is tested against, and also
+   serves certify mode, [?split] and in-session Unknowns.  Reports are
+   byte-identical either way (see [session.ml]).
+
+   [check] runs in four stages: classify (row-major pair collection),
+   solve (one pool task per row), record (serialized on the calling
+   domain) and emit (row-major report assembly). *)
 
 open Smt
 module Trace = Openflow.Trace
@@ -408,19 +414,140 @@ let solver_pool_hooks () =
   in
   (worker_init, worker_exit)
 
-(* Bounds the cross-domain learnt-clause ring (see {!Smt.Exchange}): big
-   enough that a worker's restart-to-restart window rarely overwrites
-   unread glue clauses, small enough that a drain stays trivial. *)
-let exchange_capacity = 256
+let mk_inc (ga : Grouping.group) (gb : Grouping.group) witness =
+  {
+    i_result_a = ga.Grouping.g_result;
+    i_result_b = gb.Grouping.g_result;
+    i_witness = witness;
+    i_cond = Expr.and_ ga.Grouping.g_cond gb.Grouping.g_cond;
+    i_paths_a = ga.Grouping.g_path_count;
+    i_paths_b = gb.Grouping.g_path_count;
+  }
+
+(* Stage 1 — classify, row-major, on the caller's domain: count equal
+   and differing pairs, and collect the differing pairs the resume
+   snapshot has not decided yet, grouped into rows [(i, js)] with rows
+   and the js inside each ascending.  Rows are the unit the solve stage
+   schedules, and the fixed order makes [-j 1] execution a plain
+   sequential loop. *)
+let classify groups_a groups_b decided =
+  let checked = ref 0 and equal = ref 0 and rows = ref [] in
+  Array.iteri
+    (fun i (ga : Grouping.group) ->
+      let js = ref [] in
+      Array.iteri
+        (fun j (gb : Grouping.group) ->
+          if ga.Grouping.g_key = gb.Grouping.g_key then incr equal
+          else begin
+            incr checked;
+            if not (Hashtbl.mem decided (i, j)) then js := j :: !js
+          end)
+        groups_b;
+      if !js <> [] then rows := (i, List.rev !js) :: !rows)
+    groups_a;
+  (!checked, !equal, Array.of_list (List.rev !rows))
+
+(* Fault injection delivers solver faults and clock jumps only inside a
+   per-pair scope, keyed by the pair's matrix index so the fault pattern
+   is the same at every [-j]; a fault (injected or a genuine solver
+   soundness error) costs the pair its verdict, never the run or a wrong
+   answer. *)
+let guard_pair ~key f =
+  match Chaos.with_solver_faults ~key f with
+  | v -> F_ok v
+  | exception (Solver.Solver_error _ | Chaos.Injected_fault _) -> F_fault
+
+(* Stage 2 — solve one row [(i, js)]; pure apart from solver state local
+   to the calling domain, so it may run on any pool worker.  Two back
+   ends:
+   - session: one {!Smt.Session} per row with C_A(i) as its hard base,
+     each C_B(j) decided under an activation literal.  The session lives
+     and dies inside this row task, so its verdicts — budgeted Unknowns
+     included — do not depend on how rows were scheduled.  An in-session
+     Unknown (the budget bit) retries the pair down the scratch ladder.
+   - scratch: {!sat_pair} on fresh instances — the reference path, used
+     under [~incremental:false], an explicit [split], and certify mode
+     (an assumption-failure Unsat has no replayable DRUP proof).
+   Without supervision ([sup = None]) every pair gets one guarded
+   attempt.  With it, each attempt runs under a watchdog token and the
+   retry/backoff/quarantine ladder; retries leave the session (a killed
+   attempt may have left half-blasted, inactive clauses behind) and rerun
+   from scratch, and a watchdog kill of the session's own base blast
+   sends the whole row down the scratch path instead of killing it. *)
+let solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
+  let ga = groups_a.(i) in
+  let scratch j = sat_pair ?split ?budget ?retry ga groups_b.(j) in
+  let session =
+    if not use_session then None
+    else
+      let open_session () = Session.create [ ga.Grouping.g_cond ] in
+      match sup with
+      | None -> Some (open_session ())
+      | Some sup -> Result.to_option (Supervise.run sup open_session)
+  in
+  let first_attempt j =
+    match session with
+    | None -> scratch j
+    | Some s -> (
+      match Session.check ?budget s [ ga.Grouping.g_cond; groups_b.(j).Grouping.g_cond ] with
+      | Solver.Sat witness -> Pair_sat witness
+      | Solver.Unsat -> Pair_unsat
+      | Solver.Unknown _ ->
+        let st = Solver.stats () in
+        st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1;
+        scratch j)
+  in
+  List.map
+    (fun j ->
+      let key = pair_key (i, j) in
+      match sup with
+      | None -> ((i, j), (guard_pair ~key (fun () -> first_attempt j), 0))
+      | Some sup -> (
+        let attempt ~attempt =
+          Chaos.with_solver_faults ~key (fun () ->
+              if attempt = 0 then first_attempt j else scratch j)
+        in
+        match Supervise.run_retrying sup ~key attempt with
+        | `Done (v, retries) -> ((i, j), (F_ok v, retries))
+        | `Quarantine (tax, msg, retries) -> ((i, j), (F_quarantine (tax, msg), retries))))
+    js
+
+(* Stage 4 — emit, row-major again: the reported lists depend only on the
+   per-pair verdicts, never on completion order, so the report is the
+   same whatever [jobs] was. *)
+let emit groups_a groups_b decided faulted =
+  let found = ref [] and undecided = ref [] and quarantined = ref [] in
+  Array.iteri
+    (fun i (ga : Grouping.group) ->
+      Array.iteri
+        (fun j (gb : Grouping.group) ->
+          let keys = (ga.Grouping.g_key, gb.Grouping.g_key) in
+          if ga.Grouping.g_key <> gb.Grouping.g_key then
+            if Hashtbl.mem faulted (i, j) then undecided := keys :: !undecided
+            else
+              match Hashtbl.find_opt decided (i, j) with
+              | Some P_clean -> ()
+              | Some P_undecided -> undecided := keys :: !undecided
+              | Some (P_quarantined tax) ->
+                undecided := keys :: !undecided;
+                quarantined := (fst keys, snd keys, tax) :: !quarantined
+              | Some (P_inc bindings) ->
+                found := mk_inc ga gb (Model.of_bindings bindings) :: !found
+              | None -> assert false)
+        groups_b)
+    groups_a;
+  (List.rev !found, List.rev !undecided, List.rev !quarantined)
 
 let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(jobs = 1)
-    ?(incremental = true) ?(prune = true) ?(share = true) ?(exchange = true)
-    ?(force_pool = false) ?supervise
+    ?(incremental = true) ?(force_pool = false) ?supervise
     ?(on_found = fun (_ : inconsistency) -> ())
     ?(on_warning = default_warning) (a : Grouping.grouped) (b : Grouping.grouped) =
   if a.Grouping.gr_test <> b.Grouping.gr_test then
     invalid_arg "Crosscheck.check: runs of different tests";
   if jobs < 1 then invalid_arg "Crosscheck.check: jobs must be positive";
+  (match split with
+   | Some n when n <= 0 -> invalid_arg "Crosscheck.check: split must be positive"
+   | _ -> ());
   let t0 = Mono.now () in
   let groups_a = Array.of_list a.Grouping.gr_groups in
   let groups_b = Array.of_list b.Grouping.gr_groups in
@@ -434,7 +561,6 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
         ~agent_b:b.Grouping.gr_agent ~fp ~on_warning
     | None -> Hashtbl.create 256
   in
-  let since_snapshot = ref 0 in
   let snapshot () =
     match checkpoint with
     | None -> ()
@@ -442,46 +568,14 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
       write_checkpoint path ~test:a.Grouping.gr_test ~agent_a:a.Grouping.gr_agent
         ~agent_b:b.Grouping.gr_agent ~fp decided
   in
-  let pairs_checked = ref 0 in
-  let pairs_equal = ref 0 in
-  let pair_faults = ref 0 in
+  let pairs_checked, pairs_equal, rows = classify groups_a groups_b decided in
+  (* Stage 3 — record.  All shared mutation — [decided], [faulted],
+     counters, [on_found], checkpoint writes — happens here, which
+     {!Pool.run} runs serialized on this domain (via [on_result]): the
+     single checkpoint writer survives parallelism. *)
   let faulted : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let mk_inc (ga : Grouping.group) (gb : Grouping.group) witness =
-    {
-      i_result_a = ga.Grouping.g_result;
-      i_result_b = gb.Grouping.g_result;
-      i_witness = witness;
-      i_cond = Expr.and_ ga.Grouping.g_cond gb.Grouping.g_cond;
-      i_paths_a = ga.Grouping.g_path_count;
-      i_paths_b = gb.Grouping.g_path_count;
-    }
-  in
-  (* Pass 1 — classify, row-major, on the caller's domain: count equal
-     pairs, and collect the pairs the resume snapshot has not already
-     decided.  Row-major collection fixes the work order, which under
-     [-j 1] makes execution identical to the old sequential loop. *)
-  let fresh = ref [] in
-  Array.iteri
-    (fun i (ga : Grouping.group) ->
-      Array.iteri
-        (fun j (gb : Grouping.group) ->
-          if ga.Grouping.g_key = gb.Grouping.g_key then incr pairs_equal
-          else begin
-            incr pairs_checked;
-            if not (Hashtbl.mem decided (i, j)) then fresh := (i, j) :: !fresh
-          end)
-        groups_b)
-    groups_a;
-  let fresh = Array.of_list (List.rev !fresh) in
-  (* Pass 2 — solve the fresh pairs, possibly across domains.  The solve
-     itself is pure per pair (the solver is deterministic and each worker
-     has its own context), so [-j N] changes only scheduling.  All shared
-     mutation — [decided], [faulted], counters, [on_found], checkpoint
-     writes — happens in [record_pair], which {!Pool.run} runs serialized
-     on this domain (via [on_result]): the single checkpoint writer
-     survives parallelism. *)
-  let retries_total = ref 0 in
-  let record_pair (i, j) (fate, retries) =
+  let pair_faults = ref 0 and retries_total = ref 0 and since_snapshot = ref 0 in
+  let record (i, j) (fate, retries) =
     retries_total := !retries_total + retries;
     (match fate with
      | F_fault ->
@@ -492,9 +586,8 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
        Hashtbl.replace faulted (i, j) ()
      | F_quarantine (tax, msg) ->
        on_warning
-         (Printf.sprintf "pair (%s, %s) quarantined [%s] after %d retr%s: %s"
-            groups_a.(i).Grouping.g_key
-            groups_b.(j).Grouping.g_key
+         (Printf.sprintf "pair (%s, %s) quarantined [%s] after %d retr%s: %s" keys_a.(i)
+            keys_b.(j)
             (Supervise.taxonomy_to_string tax)
             retries
             (if retries = 1 then "y" else "ies")
@@ -504,8 +597,8 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
      | F_ok Pair_undecided -> Hashtbl.replace decided (i, j) P_undecided
      | F_ok (Pair_sat witness) ->
        Hashtbl.replace decided (i, j) (P_inc (Model.bindings witness));
-       (* under [-j N], [on_found] fires in completion order; the outcome's
-          inconsistency list below is ordered deterministically anyway *)
+       (* under [-j N], [on_found] fires in completion order; the emitted
+          inconsistency list is ordered deterministically anyway *)
        on_found (mk_inc groups_a.(i) groups_b.(j) witness));
     incr since_snapshot;
     if !since_snapshot >= checkpoint_every then begin
@@ -513,402 +606,44 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
       snapshot ()
     end
   in
-  (* fault injection delivers solver faults and clock jumps only inside a
-     per-pair scope, keyed by the pair's matrix index so the fault
-     pattern is the same at every [-j]; a fault (injected or a genuine
-     solver soundness error) costs the pair its verdict, never the run
-     or a wrong answer *)
-  let guard_pair ?key f = try Some (Chaos.with_solver_faults ?key f) with
-    | Solver.Solver_error _ | Chaos.Injected_fault _ -> None
+  (* A task that dies outside any supervised attempt costs its own pairs
+     (quarantined under supervision, transiently faulted without), never
+     the run. *)
+  let record_task_crash ~supervised (i, js) e =
+    let tax, msg = Supervise.classify_exn e in
+    on_warning
+      (Printf.sprintf "worker task died (%s): %s" (Supervise.taxonomy_to_string tax) msg);
+    let fate = if supervised then F_quarantine (tax, msg) else F_fault in
+    List.iter (fun j -> record (i, j) (fate, 0)) js
   in
-  (* regroup an ascending row-major pair array into its rows, preserving
-     order: the unit both passes 1.5 and 2 schedule by *)
-  let rows_of pairs =
-    let acc = ref [] in
-    Array.iter
-      (fun (i, j) ->
-        match !acc with
-        | (i', js) :: rest when i' = i -> acc := (i', j :: js) :: rest
-        | _ -> acc := (i, [ j ]) :: !acc)
-      pairs;
-    Array.of_list (List.rev_map (fun (i, js) -> (i, List.rev js)) !acc)
-  in
-  (* Pass 1.5 — UNSAT-core row pruning, serial, on the caller's domain,
-     and deliberately identical in incremental and scratch modes (it runs
-     before either, so the two modes' downstream query streams — and
-     their fault-injection draws — stay aligned).  Before solving row [i]
-     pairwise, one probe decides [C_A(i) ∧ common(B)] where [common(B)]
-     is the disjunction of *all* of B's group conditions: every C_B(j)
-     implies it, so an Unsat probe proves every pair of the row disjoint
-     at the cost of one query.  The probes share one incremental session
-     whose base is [common(B)] (blasted once); the assumption solve's
-     failed core attributes each pruning — an empty core means common(B)
-     is self-contradictory and every remaining row prunes for free.
-     Structural subsumption (see {!Grouping.subsumes}) reuses an
-     already-pruned row's verdict when this row's condition implies it,
-     without any probe.  On matrices whose sides overlap everywhere no
-     row can prune, so probing stops after a few consecutive failures
-     — a deterministic cutoff, independent of [jobs].  Certify mode
-     disables the pass: its probes would open sessions whose Unsats
-     carry no replayable proof.
-
-     The probes run *outside* the fault-injection scope: a probe is an
-     extra query a [--no-prune] run never issues, so letting it draw
-     from the chaos streams would shift every later pair's fault
-     schedule and break the byte-identity gate.  A probe that dies on a
-     genuine solver error just counts as a miss.  Note the flip side:
-     when a row *does* prune, the skipped pairs' own solves — and any
-     faults those solves would have drawn — disappear with them, so on
-     matrices that actually prune, a chaos run faults on different pairs
-     than its [--no-prune] twin.  That is inherent to skipping work, not
-     a cache-layer artefact. *)
-  let prune_enabled =
-    prune
-    && (not (Solver.certify_enabled ()))
-    && Array.length fresh > 0
-    && Array.length groups_b > 0
-  in
-  if prune_enabled then begin
-    let rows = rows_of fresh in
-    let common =
-      Expr.balanced_disj
-        (Array.to_list (Array.map (fun (g : Grouping.group) -> g.Grouping.g_cond) groups_b))
-    in
-    let edges = Grouping.subsumption_edges groups_a in
-    let pruned : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let st = Solver.stats () in
-    let prune_row ~subsumed i js =
-      Hashtbl.replace pruned i ();
-      st.Solver.rows_pruned <- st.Solver.rows_pruned + 1;
-      if subsumed then st.Solver.subsumed_groups <- st.Solver.subsumed_groups + 1;
-      st.Solver.pairs_skipped_by_pruning <-
-        st.Solver.pairs_skipped_by_pruning + List.length js;
-      List.iter (fun j -> record_pair (i, j) (F_ok Pair_unsat, 0)) js
-    in
-    let session = ref None in
-    let base_refuted = ref false in
-    let misses = ref 0 in
-    (* a probe against the full common(B) disjunction costs about a
-       row's worth of pairwise solving, so an overlapping-everywhere
-       matrix must stop probing almost immediately *)
-    let max_probe_misses = 2 in
-    Array.iter
-      (fun (i, js) ->
-        let ga = groups_a.(i) in
-        if !base_refuted then prune_row ~subsumed:false i js
-        else if List.exists (fun i' -> Hashtbl.mem pruned i') edges.(i) then
-          prune_row ~subsumed:true i js
-        else if List.length js >= 2 && !misses < max_probe_misses then begin
-          let s =
-            match !session with
-            | Some s -> s
-            | None ->
-              let s = Session.create [ common ] in
-              session := Some s;
-              s
-          in
-          match
-            (* no [guard_pair]: the probe must not draw from the chaos
-               streams (see the pass comment above) *)
-            (try
-               Some (Session.check_attributed ?budget s [ common; ga.Grouping.g_cond ])
-             with Solver.Solver_error _ -> None)
-          with
-          | Some (Solver.Unsat, attr) ->
-            misses := 0;
-            if attr = Some Session.Base_refuted then base_refuted := true;
-            prune_row ~subsumed:false i js
-          | Some ((Solver.Sat _ | Solver.Unknown _), _) | None -> incr misses
-        end)
-      rows
-  end;
-  let work =
-    Array.of_list
-      (List.filter
-         (fun ij -> not (Hashtbl.mem decided ij))
-         (Array.to_list fresh))
-  in
+  let use_session = incremental && split = None && not (Solver.certify_enabled ()) in
   let pair_key (i, j) = (i * Array.length groups_b) + j in
   let worker_init, worker_exit = solver_pool_hooks () in
-  (* The incremental path covers the default monolithic-first-attempt
-     shape.  An explicit [?split] chunks queries from the start (no shared
-     row conjunct to amortize), and certify mode would make every session
-     query fall back to scratch anyway (see {!Smt.Session.check}) — both
-     use the plain per-pair path. *)
-  let use_incremental = incremental && split = None && not (Solver.certify_enabled ()) in
-  (* The shared-blasted-base path additionally requires an unlimited
-     budget.  A budgeted query's Unknown depends on the solver state it
-     runs against, and an adopted copy's state depends on everything its
-     domain solved before — schedule-dependent at [-j N].  Unbudgeted
-     verdicts are semantic (only Sat/Unsat can come back), so sharing —
-     and the learnt-clause exchange riding on it — can change solve
-     times but never report bytes.  Budgeted runs keep the per-row
-     session path, whose instances live and die inside one row task.
-     The shared path runs at [-j 1] too, so every jobs count takes the
-     same code path (byte-identity is a diff, not an argument). *)
-  let effective_budget =
-    match budget with Some b -> b | None -> Solver.get_default_budget ()
-  in
-  let use_shared = share && use_incremental && Solver.is_unlimited effective_budget in
-  (* Pass 2 proper, parameterized by the supervision handle.  Without one
-     ([sup = None]) every solve is byte-for-byte the unsupervised code
-     path; with one, each pair attempt runs under a watchdog token and the
-     retry/backoff/quarantine ladder.  Pool tasks never fail fast either
-     way: a task that dies outside any supervised attempt costs its own
-     pairs (quarantined under supervision, transiently faulted without),
-     never the run. *)
-  let run_pass2 sup =
-    let record_task_crash pairs e =
-      let tax, msg = Supervise.classify_exn e in
-      on_warning
-        (Printf.sprintf "worker task died (%s): %s"
-           (Supervise.taxonomy_to_string tax) msg);
-      List.iter
-        (fun ij ->
-          match sup with
-          | Some _ -> record_pair ij (F_quarantine (tax, msg), 0)
-          | None -> record_pair ij (F_fault, 0))
-        pairs
-    in
-    (* Pass 2 is row-granular in every mode: one pool task per row [i] of
-       the pair matrix — never per pair — so dispatch/steal traffic
-       scales with rows, row-internal solver locality survives
-       scheduling, and at [-j 1] the sequence of solves and records is
-       exactly the old per-pair loop's (rows and the js inside each stay
-       ascending).  Which back end a row's pairs use:
-       - shared:  assumption solves on an adopted copy of the one shared
-                  blasted base (the default unbudgeted path, see
-                  [use_shared]);
-       - session: a per-row {!Smt.Session} with C_A(i) as its base
-                  (budgeted or [~share:false] incremental runs);
-       - scratch: per-pair scratch solves ([~incremental:false] or
-                  [?split]). *)
-    let rows = rows_of work in
-    let shared =
-      if not (use_shared && Array.length rows > 0) then None
-      else begin
-        (* blast every group condition of both sides once, here on the
-           caller's domain; workers adopt copies instead of re-blasting
-           row bases.  The exchange ring only exists when there is more
-           than one domain to exchange with. *)
-        let ring =
-          if jobs > 1 && exchange then
-            Some (Exchange.create ~capacity:exchange_capacity)
-          else None
-        in
-        let cond_of (g : Grouping.group) = g.Grouping.g_cond in
-        Some
-          (Session.make_shared ?ring
-             (Array.to_list (Array.map cond_of groups_a)
-             @ Array.to_list (Array.map cond_of groups_b)))
-      end
-    in
-    (* A per-row session only pays off once its bit-blasted C_A(i) prefix
-       is reused.  What the session saves is re-blasting the base for
-       each of the remaining [n-1] pairs — proportional to
-       [(n-1) · |C_A(i)|] expression nodes.  What it costs is its setup
-       plus, for every Sat pair, the scratch confirm solve (the witness
-       must match scratch mode byte for byte), so narrow rows never
-       recoup the overhead.  Measured on the bench suite: cs_flow_mods
-       rows peak at (6−1)·286 ≈ 1.4k node-pairs and lose ~20% in
-       sessions (Sat-heavy, confirm-dominated), short_symb rows around
-       2.4k node-pairs still lose ~40%, and eth_flow_mod rows at
-       48·165 ≈ 8k node-pairs and up win 3×.  The old fixed [n < 3]
-       cutoff — and the first node-count form at 96 — both kept the
-       losing rows incremental; the measured break-even sits between
-       2.4k and 8k, so the cutoff is set at 3k.  (The shared path has no
-       per-row blast to amortize, so it needs no such cutoff.) *)
-    let session_overhead_nodes = 3000 in
-    let solve_row (i, js) =
-      let ga = groups_a.(i) in
-      match shared with
-      | Some sh ->
-        let in_shared j =
-          let gb = groups_b.(j) in
-          match
-            Session.check_shared ?budget sh [ ga.Grouping.g_cond; gb.Grouping.g_cond ]
-          with
-          | Solver.Sat witness -> Pair_sat witness
-          | Solver.Unsat -> Pair_unsat
-          | Solver.Unknown _ ->
-            (* unreachable under the unlimited budget [use_shared]
-               demands, but degrade exactly like the session path *)
-            let st = Solver.stats () in
-            st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1;
-            sat_pair ?budget ?retry ga gb
-        in
-        List.map
-          (fun j ->
-            match sup with
-            | None ->
-              let fate =
-                match guard_pair ~key:(pair_key (i, j)) (fun () -> in_shared j) with
-                | Some v -> F_ok v
-                | None -> F_fault
-              in
-              ((i, j), (fate, 0))
-            | Some sup -> (
-              let solve_attempt ~attempt =
-                Chaos.with_solver_faults ~key:(pair_key (i, j)) (fun () ->
-                    (* retries leave the adopted instance (its trail is
-                       unwound at the next solve's entry) and rerun from
-                       scratch, like the session path's retries *)
-                    if attempt = 0 then in_shared j
-                    else sat_pair ?budget ?retry ga groups_b.(j))
-              in
-              match Supervise.run_retrying sup ~key:(pair_key (i, j)) solve_attempt with
-              | `Done (v, retries) -> ((i, j), (F_ok v, retries))
-              | `Quarantine (tax, msg, retries) ->
-                ((i, j), (F_quarantine (tax, msg), retries))))
-          js
-      | None when use_incremental ->
-        let tiny =
-          (List.length js - 1) * Expr.bool_size ga.Grouping.g_cond
-          < session_overhead_nodes
-        in
-        if tiny then begin
-          let st = Solver.stats () in
-          st.Solver.tiny_session_fallbacks <- st.Solver.tiny_session_fallbacks + 1
-        end;
-        let in_session session j =
-          let gb = groups_b.(j) in
-          match Session.check ?budget session [ ga.Grouping.g_cond; gb.Grouping.g_cond ] with
-          | Solver.Sat witness -> Pair_sat witness
-          | Solver.Unsat -> Pair_unsat
-          | Solver.Unknown _ ->
-            (* budget bit inside the session: retry the pair from
-               scratch, down the whole chunk-split ladder *)
-            let st = Solver.stats () in
-            st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1;
-            sat_pair ?budget ?retry ga gb
-        in
-        (match sup with
-        | None ->
-          let solve_one =
-            if tiny then fun j -> sat_pair ?budget ?retry ga groups_b.(j)
-            else begin
-              let session = Session.create [ ga.Grouping.g_cond ] in
-              fun j -> in_session session j
-            end
-          in
-          List.map
-            (fun j ->
-              let fate =
-                match guard_pair ~key:(pair_key (i, j)) (fun () -> solve_one j) with
-                | Some v -> F_ok v
-                | None -> F_fault
-              in
-              ((i, j), (fate, 0)))
-            js
-        | Some sup ->
-          (* the row's base blast gets its own supervised attempt: if the
-             watchdog kills it, the whole row falls back to per-pair
-             scratch attempts instead of dying *)
-          let session =
-            if tiny then None
-            else
-              match Supervise.run sup (fun () -> Session.create [ ga.Grouping.g_cond ]) with
-              | Ok s -> Some s
-              | Error _ -> None
-          in
-          List.map
-            (fun j ->
-              let gb = groups_b.(j) in
-              let solve_attempt ~attempt =
-                Chaos.with_solver_faults ~key:(pair_key (i, j)) (fun () ->
-                    match session with
-                    | Some s when attempt = 0 -> in_session s j
-                    | _ ->
-                      (* retries abandon the session: a killed in-session
-                         attempt may have left half-blasted (inactive,
-                         harmless) clauses behind, and a scratch rerun
-                         isolates the retry from them entirely *)
-                      sat_pair ?budget ?retry ga gb)
-              in
-              match Supervise.run_retrying sup ~key:(pair_key (i, j)) solve_attempt with
-              | `Done (v, retries) -> ((i, j), (F_ok v, retries))
-              | `Quarantine (tax, msg, retries) ->
-                ((i, j), (F_quarantine (tax, msg), retries)))
-            js)
-      | None ->
-        List.map
-          (fun j ->
-            let gb = groups_b.(j) in
-            match sup with
-            | None ->
-              let fate =
-                match
-                  guard_pair ~key:(pair_key (i, j)) (fun () ->
-                      sat_pair ?split ?budget ?retry ga gb)
-                with
-                | Some v -> F_ok v
-                | None -> F_fault
-              in
-              ((i, j), (fate, 0))
-            | Some sup -> (
-              match
-                Supervise.run_retrying sup ~key:(pair_key (i, j)) (fun ~attempt:_ ->
-                    Chaos.with_solver_faults ~key:(pair_key (i, j)) (fun () ->
-                        sat_pair ?split ?budget ?retry ga gb))
-              with
-              | `Done (v, retries) -> ((i, j), (F_ok v, retries))
-              | `Quarantine (tax, msg, retries) ->
-                ((i, j), (F_quarantine (tax, msg), retries))))
-          js
-    in
+  let solve sup =
     ignore
       (Pool.run ~worker_init ~worker_exit ~force_pool
          ~on_result:(fun k -> function
-           | Ok row -> List.iter (fun (ij, fr) -> record_pair ij fr) row
-           | Error (e, _) ->
-             let i, js = rows.(k) in
-             record_task_crash (List.map (fun j -> (i, j)) js) e)
-         ~jobs solve_row rows);
-    (* worker domains die with their adopted copies; the caller's domain
-       (which runs the tasks itself at [-j 1]) must drop its own copy or
-       it would accumulate one per crosscheck for the process lifetime *)
-    match shared with Some sh -> Session.release sh | None -> ()
+           | Ok row -> List.iter (fun (ij, fr) -> record ij fr) row
+           | Error (e, _) -> record_task_crash ~supervised:(sup <> None) rows.(k) e)
+         ~jobs
+         (solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b)
+         rows)
   in
   (match supervise with
-   | None -> run_pass2 None
-   | Some pol -> Supervise.with_monitor pol (fun sup -> run_pass2 (Some sup)));
-  (* Pass 3 — emit, row-major again: the reported lists depend only on the
-     per-pair verdicts, never on completion order, so the report is
-     identical whatever [jobs] was. *)
-  let found = ref [] in
-  let undecided = ref [] in
-  let quarantined = ref [] in
-  Array.iteri
-    (fun i (ga : Grouping.group) ->
-      Array.iteri
-        (fun j (gb : Grouping.group) ->
-          if ga.Grouping.g_key <> gb.Grouping.g_key then
-            if Hashtbl.mem faulted (i, j) then
-              undecided := (ga.Grouping.g_key, gb.Grouping.g_key) :: !undecided
-            else
-              match Hashtbl.find_opt decided (i, j) with
-              | Some P_clean -> ()
-              | Some P_undecided ->
-                undecided := (ga.Grouping.g_key, gb.Grouping.g_key) :: !undecided
-              | Some (P_quarantined tax) ->
-                undecided := (ga.Grouping.g_key, gb.Grouping.g_key) :: !undecided;
-                quarantined := (ga.Grouping.g_key, gb.Grouping.g_key, tax) :: !quarantined
-              | Some (P_inc bindings) ->
-                found := mk_inc ga gb (Model.of_bindings bindings) :: !found
-              | None -> assert false)
-        groups_b)
-    groups_a;
+   | None -> solve None
+   | Some pol -> Supervise.with_monitor pol (fun sup -> solve (Some sup)));
+  let found, undecided, quarantined = emit groups_a groups_b decided faulted in
   snapshot ();
   {
     o_agent_a = a.Grouping.gr_agent;
     o_agent_b = b.Grouping.gr_agent;
     o_test = a.Grouping.gr_test;
-    o_inconsistencies = List.rev !found;
-    o_pairs_checked = !pairs_checked;
-    o_pairs_equal = !pairs_equal;
-    o_pairs_undecided = List.rev !undecided;
+    o_inconsistencies = found;
+    o_pairs_checked = pairs_checked;
+    o_pairs_equal = pairs_equal;
+    o_pairs_undecided = undecided;
     o_pair_faults = !pair_faults;
-    o_pairs_quarantined = List.rev !quarantined;
+    o_pairs_quarantined = quarantined;
     o_retries = !retries_total;
     o_check_time = Mono.elapsed t0;
   }

@@ -7,7 +7,12 @@
     vSwitch FlowMod disjunctions, §5.2).  The defences here: per-query
     solver budgets, a chunk-split retry ladder on [Unknown] (the paper's
     proposed remedy), pairs recorded as *undecided* instead of silently
-    dropped, and periodic checkpoints so a killed run resumes. *)
+    dropped, and periodic checkpoints so a killed run resumes.
+
+    Pairs are solved by one of two back ends: per-row incremental
+    {!Smt.Session}s (the default, at every budget and every [jobs]) or
+    per-pair scratch instances (the reference path; see [incremental]
+    below). *)
 
 type inconsistency = {
   i_result_a : Openflow.Trace.result;
@@ -97,9 +102,6 @@ val check :
   ?resume:string ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?force_pool:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?on_found:(inconsistency -> unit) ->
@@ -137,61 +139,25 @@ val check :
     calling domain, exactly as before.
 
     [incremental] (default true): solve each row of the pair matrix on one
-    persistent {!Smt.Session} — the row's common conjunct [C_A(i)] is
-    bit-blasted once as hard clauses, each [C_B(j)] is guarded by a fresh
-    activation literal, and learnt clauses, variable activities and saved
-    phases carry across the row.  A pool task is a whole row — in every
-    mode — so [jobs] parallelism is preserved and dispatch cost scales
-    with rows, not pairs.  A query the session's budget cannot decide
-    falls back to the scratch retry ladder (counted in
-    [scratch_fallbacks]).  Reports are byte-identical to
-    [~incremental:false]: session Sat witnesses are re-derived canonically
-    from scratch and the fault-injection stream is query-aligned (see
+    {!Smt.Session} — the row's common conjunct [C_A(i)] is bit-blasted
+    once as hard clauses, each [C_B(j)] is guarded by a fresh activation
+    literal, and learnt clauses, variable activities and saved phases
+    carry across the row.  This is the one fast path, at every budget
+    and every [jobs]: a pool task is a whole row, and its session lives
+    and dies inside that task, so even budgeted verdicts do not depend on
+    scheduling.  A query the session's budget cannot decide falls back to
+    the scratch retry ladder (counted in [scratch_fallbacks]).  Reports
+    are byte-identical to [~incremental:false], the per-pair scratch
+    reference path: session Sat witnesses are re-derived canonically from
+    scratch and the fault-injection stream is query-aligned (see
     {!Smt.Session}).  An explicit [split] or an enabled certify regime
     forces the scratch path (chunked queries share no row conjunct; an
     assumption-failure Unsat has no replayable DRUP proof).
 
-    [share] (default true): when the effective budget is unlimited (and
-    [incremental] applies), bit-blast {e every} group condition of both
-    sides once into a shared immutable CNF prefix ({!Smt.Session.make_shared});
-    each worker domain adopts a {!Smt.Sat.copy} instead of re-blasting
-    per-row bases, and every pair is decided by a pure assumption solve
-    on its adopted copy (counted in [shared_solves]/[bases_adopted]).
-    Budgeted runs ignore [share] — a budgeted Unknown could then depend
-    on cross-domain scheduling — and use per-row sessions as before.
-    Because unbudgeted verdicts are semantic, reports stay byte-identical
-    to [~share:false] and across every [jobs].  [--no-share-base] on the
-    CLI.
-
-    [exchange] (default true): with sharing active and [jobs > 1], the
-    adopted copies exchange low-LBD learnt clauses through a bounded
-    lock-free ring ({!Smt.Exchange}), imported at solve entries and
-    restart boundaries (counted in [clauses_exported]/[clauses_imported]).
-    Sound because adopted copies never gain problem clauses; affects
-    solve time only, never verdicts.  [--no-clause-exchange] on the CLI.
-
-    [force_pool] (default false): run pass 2 through the full pool
-    machinery even at [jobs = 1] (one worker domain, coordinator,
+    [force_pool] (default false): run the solve stage through the full
+    pool machinery even at [jobs = 1] (one worker domain, coordinator,
     completion queue) instead of the guaranteed sequential fast path —
     for measuring pool scheduling overhead on single-core machines.
-
-    [prune] (default true): before solving a row pairwise, decide
-    [C_A(i) ∧ common(B)] once, where [common(B)] disjoins {e all} of B's
-    group conditions; an Unsat probe proves every pair of the row
-    disjoint and records them clean wholesale (counted in [rows_pruned]
-    and [pairs_skipped_by_pruning]).  The probes run serially on the
-    calling domain over one incremental session, before — and
-    identically under — either [incremental] mode, so reports stay
-    byte-identical to [~prune:false] whenever budgets do not bite (a
-    probe's whole-row Unsat can decide pairs a tightly budgeted pairwise
-    attempt would have left undecided).  The assumption solve's failed
-    core attributes each pruning ({!Smt.Session.check_attributed});
-    structural subsumption between row conditions
-    ({!Grouping.subsumption_edges}) reuses already-pruned verdicts
-    without probing (counted in [subsumed_groups]).  Probing stops after
-    a few consecutive non-pruning probes — matrices whose sides overlap
-    everywhere pay at most that fixed cost.  Certify mode disables the
-    pass (a pruning Unsat would carry no replayable proof).
 
     [supervise]: run every pair solve under a {!Harness.Supervise} watchdog
     — per-attempt wall-clock deadlines enforced preemptively by a monitor
@@ -206,8 +172,8 @@ val check :
     [on_warning] (default: print to stderr) receives degradation notices
     such as a corrupt resume file or a quarantined pair.
 
-    @raise Invalid_argument if the two runs are of different tests, or if
-    [jobs < 1]. *)
+    @raise Invalid_argument if the two runs are of different tests, if
+    [jobs < 1], or if [split <= 0]. *)
 
 val count : outcome -> int
 

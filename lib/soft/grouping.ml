@@ -62,69 +62,6 @@ let of_run (r : Harness.Runner.run) = of_saved (Harness.Serialize.of_run r)
 
 let distinct_results g = List.length g.gr_groups
 
-(* --- structural subsumption between group disjunctions ----------------- *)
-
-(* A group condition is a disjunction of member path conditions, each a
-   conjunction of branch constraints.  [g2]'s condition implies [g1]'s
-   whenever every member of [g2] is a conjunctive extension of some
-   member of [g1]: m2 = m1 ∧ extra ⊨ m1, and a disjunction is implied
-   memberwise.  Hash-consing makes the check purely structural — equal
-   conjuncts are physically equal, so conjunct-id subset inclusion is a
-   sound (incomplete) implication test costing no solver call. *)
-
-let conjunct_ids b =
-  let rec go acc (b : Expr.boolean) =
-    match b.Expr.bnode with
-    | Expr.And (x, y) -> go (go acc x) y
-    | _ -> b.Expr.bid :: acc
-  in
-  List.sort_uniq compare (go [] b)
-
-(* subset inclusion over sorted id lists *)
-let rec subset xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs', y :: ys' ->
-    if x = y then subset xs' ys' else if y < x then subset xs ys' else false
-
-let subsumes g1 g2 =
-  let m1s = List.map conjunct_ids g1.g_member_conds in
-  List.for_all
-    (fun m2 ->
-      let m2_ids = conjunct_ids m2 in
-      List.exists (fun m1_ids -> subset m1_ids m2_ids) m1s)
-    g2.g_member_conds
-
-(* Quadratic in groups and members; past these sizes the check costs
-   more than the solver calls it might save, so the caller gets no
-   edges and simply probes every row. *)
-let max_subsumption_groups = 256
-let max_subsumption_members = 4096
-
-let subsumption_edges groups =
-  let n = Array.length groups in
-  let total_members =
-    Array.fold_left (fun acc g -> acc + List.length g.g_member_conds) 0 groups
-  in
-  if n > max_subsumption_groups || total_members > max_subsumption_members then
-    Array.make n []
-  else
-    let members =
-      Array.map (fun g -> List.map conjunct_ids g.g_member_conds) groups
-    in
-    Array.init n (fun i ->
-        let edges = ref [] in
-        for i' = n - 1 downto 0 do
-          if
-            i' <> i
-            && List.for_all
-                 (fun m2 -> List.exists (fun m1 -> subset m1 m2) members.(i'))
-                 members.(i)
-          then edges := i' :: !edges
-        done;
-        !edges)
-
 let pp fmt g =
   Format.fprintf fmt "@[<v>%s/%s: %d distinct results from %d paths (%.3fs)@ " g.gr_agent
     g.gr_test (distinct_results g)

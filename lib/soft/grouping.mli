@@ -29,23 +29,3 @@ val of_run : Harness.Runner.run -> grouped
 val distinct_results : grouped -> int
 val pp : Format.formatter -> grouped -> unit
 
-(** {1 Structural subsumption}
-
-    A sound, solver-free implication test between group conditions,
-    exploiting hash-consing: member path conditions are conjunctions of
-    physically-shared branch constraints, so conjunct-id subset
-    inclusion witnesses implication. *)
-
-val subsumes : group -> group -> bool
-(** [subsumes g1 g2] is [true] only if [g2.g_cond] implies [g1.g_cond]:
-    every member of [g2] conjunctively extends some member of [g1].
-    Incomplete by design (a [false] proves nothing); never wrong when
-    [true].  The crosscheck row-pruner uses it to reuse an
-    already-pruned row's verdict. *)
-
-val subsumption_edges : group array -> int list array
-(** [subsumption_edges gs] has, at index [i], the indices [i' <> i] with
-    [subsumes gs.(i') gs.(i)] — the rows whose conditions row [i]'s
-    condition implies, in ascending order.  Returns all-empty lists past
-    an internal size cutoff where the quadratic structural scan would
-    cost more than the solver calls it can save. *)

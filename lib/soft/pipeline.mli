@@ -24,9 +24,6 @@ val compare_runs :
   ?resume:string ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?on_warning:(string -> unit) ->
   Harness.Test_spec.t ->
@@ -35,10 +32,8 @@ val compare_runs :
   comparison
 (** Phase 2 only, over existing phase-1 runs.  The optional arguments
     (including [jobs], the crosscheck worker-domain count, [incremental],
-    the row-major session solving toggle, [prune], the UNSAT-core row
-    pruning toggle, [share]/[exchange], the shared-blasted-base and
-    learnt-clause-exchange toggles, and [supervise], the watchdog
-    policy) are forwarded to {!Crosscheck.check}. *)
+    the per-row session toggle, and [supervise], the watchdog policy) are
+    forwarded to {!Crosscheck.check}. *)
 
 val compare_agents :
   ?max_paths:int ->
@@ -48,9 +43,6 @@ val compare_agents :
   ?split:int ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->
@@ -81,9 +73,6 @@ val compare_suite :
   ?split:int ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->

@@ -266,6 +266,23 @@ let test_check_reports_undecided () =
   check_int "decidable with budget" 0 (Soft.Crosscheck.undecided_count o');
   check_int "and it is an inconsistency" 1 (Soft.Crosscheck.count o')
 
+(* A non-positive split would otherwise die inside [chunk_conds] in every
+   row task, and the run would return with every pair "faulted"; it is a
+   caller error, rejected before any solving like [jobs < 1]. *)
+let test_check_rejects_bad_split () =
+  let x = Expr.var ~width:16 "bs.x" in
+  let a = grouped "a" [ group "A" [ Expr.ult x (c16 10) ] ] in
+  let b = grouped "b" [ group "B" [ Expr.eq x (c16 5) ] ] in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "split %d rejected" n)
+        (Invalid_argument "Crosscheck.check: split must be positive")
+        (fun () -> ignore (Soft.Crosscheck.check ~split:n a b)))
+    [ 0; -2 ];
+  check_int "split 1 still decides the pair" 1
+    (Soft.Crosscheck.count (Soft.Crosscheck.check ~split:1 a b))
+
 (* A pathological pair: a group disjunction too hard for the budget on
    every rung of the ladder still terminates (quickly) and is reported
    undecided rather than hanging the crosscheck — the failure mode that
@@ -518,6 +535,7 @@ let suite =
     ("retry ladder rescues a starved pair", `Quick, test_sat_pair_ladder_rescues);
     ("sat_pair degrades to undecided", `Quick, test_sat_pair_undecided);
     ("check reports undecided pairs", `Quick, test_check_reports_undecided);
+    ("check rejects a non-positive split", `Quick, test_check_rejects_bad_split);
     ("pathological pair terminates within budget", `Quick, test_pathological_pair_terminates);
     ("checkpoint/resume equals uninterrupted", `Quick, test_checkpoint_resume_equivalence);
     ("resume: missing file is a fresh start", `Quick, test_resume_missing_file_is_fresh);

@@ -1,9 +1,8 @@
-(* Semantic query canonicalization and UNSAT-core row pruning: the
-   α-invariance of the canonical key, the solver's canonical memo layer
-   (Unsat transfers, Sat replays its witness, certify never trusts a hit
-   without replay), and the crosscheck pruning pass — byte-identical
-   reports with pruning on or off, at -j1 and -j2, clean and under an
-   8-seed chaos sweep where verdicts may only degrade to undecided. *)
+(* Semantic query canonicalization: the α-invariance of the canonical
+   key, the solver's canonical memo layer (Unsat transfers, Sat replays
+   its witness, certify never trusts a hit without replay), and an
+   8-seed chaos sweep over the crosscheck where verdicts may only
+   degrade to undecided. *)
 
 open Smt
 module Chaos = Harness.Chaos
@@ -244,121 +243,13 @@ let test_certify_never_trusts_canonical_hit () =
       check_int "but the verdict still came from a checked proof" (p1 + 1)
         st.Solver.proofs_checked)
 
-(* --- crosscheck row pruning -------------------------------------------- *)
-
-let canon_outcome (o : Soft.Crosscheck.outcome) =
-  Format.asprintf "%a" Soft.Crosscheck.pp { o with Soft.Crosscheck.o_check_time = 0.0 }
-
-let mk_group key members =
-  let result = { Trace.trace = [ "out:" ^ key ]; crash = None } in
-  {
-    Soft.Grouping.g_result = result;
-    g_key = Trace.result_key result;
-    g_cond = Expr.balanced_disj members;
-    g_member_conds = members;
-    g_path_count = List.length members;
-  }
-
-let mk_grouped ~agent groups =
-  { Soft.Grouping.gr_agent = agent; gr_test = "synthetic"; gr_groups = groups; gr_group_time = 0.0 }
-
-let test_disjoint_row_pruned_wholesale () =
-  with_clean_world (fun () ->
-      Solver.set_certify false;
-      let x = Expr.var ~width:8 "cp.x" and y = Expr.var ~width:8 "cp.y" in
-      let m0 = Expr.ugt x (Expr.const ~width:8 200L) in
-      let a =
-        mk_grouped ~agent:"A"
-          [
-            (* row 0: x > 200, disjoint from everything B covers *)
-            mk_group "A0" [ m0 ];
-            (* row 1: a conjunctive extension of row 0 — structurally
-               subsumed, must prune with no probe *)
-            mk_group "A1" [ Expr.and_ m0 (Expr.eq_const y 3L) ];
-            (* row 2: x < 50 overlaps both B groups — never pruned *)
-            mk_group "A2" [ Expr.ult x (Expr.const ~width:8 50L) ];
-          ]
-      in
-      let b =
-        mk_grouped ~agent:"B"
-          [
-            mk_group "B0" [ Expr.ult x (Expr.const ~width:8 10L) ];
-            mk_group "B1"
-              [
-                Expr.and_
-                  (Expr.uge x (Expr.const ~width:8 10L))
-                  (Expr.ult x (Expr.const ~width:8 20L));
-              ];
-          ]
-      in
-      let st = Solver.stats () in
-      let r0 = st.Solver.rows_pruned
-      and k0 = st.Solver.pairs_skipped_by_pruning
-      and g0 = st.Solver.subsumed_groups in
-      Solver.clear_cache ();
-      let pruned = Soft.Crosscheck.check ~jobs:1 a b in
-      check_int "both disjoint rows pruned" (r0 + 2) st.Solver.rows_pruned;
-      check_int "all four of their pairs skipped" (k0 + 4) st.Solver.pairs_skipped_by_pruning;
-      check_int "the extension row reused the verdict structurally" (g0 + 1)
-        st.Solver.subsumed_groups;
-      check_int "the overlapping row still found its inconsistencies" 2
-        (Soft.Crosscheck.count pruned);
-      check_int "every pair was accounted" 6 pruned.Soft.Crosscheck.o_pairs_checked;
-      Solver.clear_cache ();
-      let unpruned = Soft.Crosscheck.check ~jobs:1 ~prune:false a b in
-      check_string "report byte-identical to the unpruned run" (canon_outcome unpruned)
-        (canon_outcome pruned))
-
-let mk_random_grouped ~rng ~agent ~key_base n_groups =
-  mk_grouped ~agent
-    (List.init n_groups (fun k ->
-         mk_group
-           (string_of_int (key_base + k))
-           (List.init (1 + Random.State.int rng 3) (fun _ -> random_cond rng 1))))
-
-let test_random_matrices_prune_identical () =
-  with_clean_world (fun () ->
-      Solver.set_certify false;
-      for seed = 1 to 8 do
-        let rng = Random.State.make [| seed; 77 |] in
-        let na = 2 + Random.State.int rng 5 and nb = 2 + Random.State.int rng 5 in
-        let a = mk_random_grouped ~rng ~agent:"A" ~key_base:0 na in
-        let b = mk_random_grouped ~rng ~agent:"B" ~key_base:(Random.State.int rng 3) nb in
-        let run ~prune ~jobs =
-          Solver.clear_cache ();
-          Soft.Crosscheck.check ~jobs ~prune a b
-        in
-        let baseline = run ~prune:false ~jobs:1 in
-        let msg s = Printf.sprintf "seed %d: %s" seed s in
-        check_string
-          (msg "pruned -j1 byte-identical to unpruned")
-          (canon_outcome baseline)
-          (canon_outcome (run ~prune:true ~jobs:1));
-        check_string
-          (msg "pruned -j2 byte-identical to unpruned")
-          (canon_outcome baseline)
-          (canon_outcome (run ~prune:true ~jobs:2))
-      done)
+(* --- crosscheck under chaos ------------------------------------------ *)
 
 let grouped_runs () =
   let spec = Test_spec.packet_out () in
   let run_a = Runner.execute ~max_paths:60 Switches.Reference_switch.agent spec in
   let run_b = Runner.execute ~max_paths:60 Switches.Modified_switch.agent spec in
   (Soft.Grouping.of_run run_a, Soft.Grouping.of_run run_b)
-
-let test_real_runs_prune_identical () =
-  with_clean_world (fun () ->
-      Solver.set_certify false;
-      let a, b = grouped_runs () in
-      let run ~prune ~jobs =
-        Solver.clear_cache ();
-        Soft.Crosscheck.check ~jobs ~prune a b
-      in
-      let baseline = run ~prune:false ~jobs:1 in
-      check_string "real runs: pruned -j1 identical" (canon_outcome baseline)
-        (canon_outcome (run ~prune:true ~jobs:1));
-      check_string "real runs: pruned -j2 identical" (canon_outcome baseline)
-        (canon_outcome (run ~prune:true ~jobs:2)))
 
 let inconsistency_keys (o : Soft.Crosscheck.outcome) =
   List.map
@@ -367,8 +258,8 @@ let inconsistency_keys (o : Soft.Crosscheck.outcome) =
     o.Soft.Crosscheck.o_inconsistencies
 
 let test_chaos_sweep_only_degrades () =
-  (* faults injected into the pruning probes and the pairwise solves may
-     cost verdicts, never invent them: every inconsistency reported under
+  (* faults injected into the pairwise solves may cost verdicts, never
+     invent them: every inconsistency reported under
      chaos exists in the clean run, and anything lost shows up as
      undecided *)
   with_clean_world (fun () ->
@@ -407,10 +298,6 @@ let suite =
     ("sat hits replay and publish the scratch witness", `Quick, test_sat_hit_replays_witness);
     ("certify never trusts a canonical hit without replay", `Quick,
      test_certify_never_trusts_canonical_hit);
-    ("a disjoint row prunes wholesale, subsumption reuses it", `Quick,
-     test_disjoint_row_pruned_wholesale);
-    ("random matrices: pruned = unpruned at -j1/-j2", `Quick, test_random_matrices_prune_identical);
-    ("real runs: pruned = unpruned at -j1/-j2", `Quick, test_real_runs_prune_identical);
-    ("chaos sweep over the pruning path only grows undecided", `Quick,
+    ("chaos sweep over the crosscheck only grows undecided", `Quick,
      test_chaos_sweep_only_degrades);
   ]

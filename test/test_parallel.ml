@@ -282,14 +282,13 @@ let test_chaos_invariant_at_j4 () =
           (o.Soft.Crosscheck.o_pair_faults <= Soft.Crosscheck.undecided_count o)
       done)
 
-(* --- shared blasted base and clause exchange -------------------------- *)
+(* --- row sessions at any -j ------------------------------------------- *)
 
-let test_shared_base_parity () =
-  (* the tentpole determinism claim: with the shared blasted base (and
-     clause exchange) left at their defaults, the report stays
-     byte-identical at any -j, in the default configuration, under a
-     chaos schedule, and in certify mode (where the shared path
-     auto-disables but the flags are still accepted) *)
+let test_row_session_parity () =
+  (* per-row sessions are the default at every -j, and each lives inside
+     one row task: the report stays byte-identical at any -j, in the
+     default configuration, under a chaos schedule, and in certify mode
+     (where every row takes the scratch path) *)
   with_clean_world (fun () ->
       let a, b = grouped_runs () in
       let run ?(certify = false) ?chaos_seed jobs =
@@ -305,148 +304,20 @@ let test_shared_base_parity () =
         o
       in
       let st = Solver.stats () in
-      let shared0 = st.Solver.shared_solves and adopted0 = st.Solver.bases_adopted in
+      let sessions0 = st.Solver.sessions_opened in
       let o1 = run 1 in
-      check_bool "the -j1 run rode the shared base" true
-        (st.Solver.shared_solves > shared0 && st.Solver.bases_adopted > adopted0);
+      check_bool "the -j1 run solved on row sessions" true
+        (st.Solver.sessions_opened > sessions0);
       let o4 = run 4 in
       check_bool "some inconsistencies to disagree about" true (Soft.Crosscheck.count o1 > 0);
-      Alcotest.(check string) "shared base: -j4 byte-identical to -j1" (canon o1) (canon o4);
+      Alcotest.(check string) "row sessions: -j4 byte-identical to -j1" (canon o1) (canon o4);
       (* chaos streams are keyed by pair, so the same seed faults the same
          pairs whatever the worker count *)
       let c1 = run ~chaos_seed:5 1 and c4 = run ~chaos_seed:5 4 in
       Alcotest.(check string) "under chaos: -j4 byte-identical to -j1" (canon c1) (canon c4);
       let p1 = run ~certify:true 1 and p4 = run ~certify:true 4 in
       Alcotest.(check string) "under certify: -j4 byte-identical to -j1" (canon p1)
-        (canon p4);
-      (* and turning the base off is a pure perf toggle, not a semantic one *)
-      Solver.clear_cache ();
-      let off = Soft.Crosscheck.check ~jobs:4 ~share:false a b in
-      Alcotest.(check string) "--no-share-base leaves the report unchanged" (canon o1)
-        (canon off))
-
-let test_clause_exchange_sound () =
-  (* imported clauses are implied by the common prefix, so they may only
-     speed a verdict up, never change it: exchange on vs off must be
-     byte-identical, including across a chaos sweep *)
-  with_clean_world (fun () ->
-      let a, b = grouped_runs () in
-      let run ~exchange ?chaos_seed () =
-        Solver.clear_cache ();
-        Mono.reset_skew ();
-        (match chaos_seed with
-        | Some seed -> Chaos.install (Chaos.plan ~seed ~rate:0.3 ())
-        | None -> ());
-        let o = Soft.Crosscheck.check ~jobs:4 ~exchange a b in
-        Chaos.deactivate ();
-        o
-      in
-      let on = run ~exchange:true () and off = run ~exchange:false () in
-      Alcotest.(check string) "exchange never changes the report" (canon off) (canon on);
-      for seed = 1 to 8 do
-        let on = run ~exchange:true ~chaos_seed:seed ()
-        and off = run ~exchange:false ~chaos_seed:seed () in
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d: exchange on/off identical" seed)
-          (canon off) (canon on)
-      done)
-
-let test_shared_base_adoption () =
-  (* the Session.shared contract directly: one blast, per-domain copies,
-     scratch-identical verdicts, scratch fallback off the condition set *)
-  with_clean_world (fun () ->
-      let x = Expr.var ~width:8 "par.sh" in
-      let in_set = Expr.ult x (Expr.const ~width:8 10L) in
-      let also_in_set = Expr.eq_const x 3L in
-      let off_set = Expr.uge x (Expr.const ~width:8 200L) in
-      let sh = Session.make_shared [ in_set; also_in_set ] in
-      let s1 = Session.adopt sh in
-      check_bool "adoption is memoized per domain" true (s1 == Session.adopt sh);
-      let fresh_copies =
-        Pool.run_exn ~jobs:2 (fun _ -> Session.adopt sh != s1) [| 0; 1 |]
-      in
-      Array.iter
-        (fun fresh -> check_bool "worker domains adopt private copies" true fresh)
-        fresh_copies;
-      let agree conds =
-        Solver.clear_cache ();
-        let r_sh = Session.check_shared ~use_cache:false sh conds in
-        let r_scr = Solver.check ~use_cache:false conds in
-        match (r_sh, r_scr) with
-        | Solver.Sat m1, Solver.Sat m2 ->
-          check_bool "shared publishes the scratch witness" true
-            (Model.bindings m1 = Model.bindings m2)
-        | Solver.Unsat, Solver.Unsat -> ()
-        | _ -> Alcotest.fail "shared verdict differs from scratch"
-      in
-      agree [ in_set; also_in_set ];
-      agree [ in_set; Expr.not_ also_in_set ];
-      (* a conjunct outside the blasted set falls back to scratch — same
-         verdict, no assumption solve on the adopted copy *)
-      let st = Solver.stats () in
-      let shared0 = st.Solver.shared_solves in
-      agree [ in_set; off_set ];
-      check_int "off-set query bypassed the shared instance" shared0
-        st.Solver.shared_solves;
-      Session.release sh)
-
-let test_exchange_ring_semantics () =
-  (* single-domain contract first: no self-import, oldest-first order,
-     drain-once, lossy overwrite *)
-  let ring = Exchange.create ~capacity:4 in
-  let a = Exchange.register ring and b = Exchange.register ring in
-  Exchange.publish a [| 2; 5 |];
-  check_bool "own clauses never come back" true (Exchange.drain a = []);
-  (match Exchange.drain b with
-  | [ [| 2; 5 |] ] -> ()
-  | _ -> Alcotest.fail "consumer missed the published clause");
-  check_bool "a drained clause is not re-delivered" true (Exchange.drain b = []);
-  for i = 1 to 6 do
-    Exchange.publish a [| i |]
-  done;
-  (* capacity 4: the six publishes overwrote the two oldest *)
-  (match Exchange.drain b with
-  | [ [| 3 |]; [| 4 |]; [| 5 |]; [| 6 |] ] -> ()
-  | l ->
-    Alcotest.failf "lossy drain kept %d clauses, expected the newest 4"
-      (List.length l));
-  check_int "published counts all publishes" 7 (Exchange.published ring);
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Exchange.create: capacity must be positive") (fun () ->
-      ignore (Exchange.create ~capacity:0))
-
-let test_exchange_ring_under_domains () =
-  (* two producer domains race a consumer on a deliberately tiny ring:
-     whatever subset survives must be well-formed, never self-published,
-     and the publish counter must account for every publish *)
-  let ring = Exchange.create ~capacity:16 in
-  let consumer = Exchange.register ring in
-  Exchange.publish consumer [| 9; 9 |];
-  let producer tag =
-    Domain.spawn (fun () ->
-        let ep = Exchange.register ring in
-        for i = 1 to 200 do
-          Exchange.publish ep [| tag; i |]
-        done)
-  in
-  let d1 = producer 1 and d2 = producer 2 in
-  let drained = ref [] in
-  for _ = 1 to 50 do
-    drained := Exchange.drain consumer @ !drained
-  done;
-  Domain.join d1;
-  Domain.join d2;
-  drained := Exchange.drain consumer @ !drained;
-  List.iter
-    (fun c ->
-      (* in particular never the consumer's own [| 9; 9 |] *)
-      check_bool "drained clause is one some producer published" true
-        (Array.length c = 2 && (c.(0) = 1 || c.(0) = 2) && c.(1) >= 1 && c.(1) <= 200))
-    !drained;
-  (* racing overwrites may duplicate a delivery, but never invent one *)
-  check_bool "the ring is lossy, never inventive" true
-    (List.length (List.sort_uniq compare !drained) <= 400);
-  check_int "every publish counted" 401 (Exchange.published ring)
+        (canon p4))
 
 (* --- the pipeline at -j N --------------------------------------------- *)
 
@@ -537,11 +408,7 @@ let suite =
     ("-j4 report byte-identical to -j1", `Quick, test_jobs_report_identical);
     ("parallel checkpoint/resume", `Quick, test_parallel_checkpoint_resume);
     ("chaos invariant holds at -j4 (8 seeds)", `Quick, test_chaos_invariant_at_j4);
-    ("shared base: -j parity (default/chaos/certify)", `Quick, test_shared_base_parity);
-    ("clause exchange never changes the report", `Quick, test_clause_exchange_sound);
-    ("shared base adoption contract", `Quick, test_shared_base_adoption);
-    ("exchange ring single-domain semantics", `Quick, test_exchange_ring_semantics);
-    ("exchange ring under racing domains", `Quick, test_exchange_ring_under_domains);
+    ("row sessions: -j parity (default/chaos/certify)", `Quick, test_row_session_parity);
     ("interval refutations bypass the cache", `Quick, test_interval_refutation_uncached);
     ("compare_suite equal at -j1 and -j4", `Quick, test_compare_suite_jobs_equivalent);
     ("suite failure attribution under -j4", `Quick, test_compare_suite_failure_attribution);
