@@ -8,7 +8,8 @@
    - [Solver_fault]: a query that reached the SAT core raises instead of
      answering (installed via {!Smt.Solver.set_query_hook}, scoped to the
      crosscheck phase by {!with_solver_faults});
-   - [Agent_step]: an agent input step raises mid-drive;
+   - [Agent_step]: an agent input step raises mid-drive (validation
+     drives each agent once per witness, so draws once per witness);
    - [Checkpoint_truncate]: a checkpoint file is truncated mid-file right
      after being written;
    - [Clock_jump]: the monotonic clock jumps far past any deadline

@@ -80,17 +80,16 @@ let execute ?(max_paths = default_max_paths) ?(strategy = Strategy.default)
     run_coverage = result.Engine.coverage;
   }
 
-(* Replay: re-execute one agent on [spec] with every symbolic input pinned
-   to the witness's concrete values, and return the normalized trace of
-   the (unique) explored path the witness selects.  Used by validation to
-   confirm a reported inconsistency by actually running both agents on
-   the concrete test case.  Pinning is done by [assume]-ing [v = value]
-   for every witness binding before the drive, so exploration collapses
-   to the paths consistent with the witness; among those we keep the one
-   whose path condition the witness satisfies (absent variables default
-   to zero, matching [Testcase] concretization). *)
-let execute_replay ?(max_paths = 64) ?solver_budget (agent : Agent_intf.t)
-    (spec : Test_spec.t) ~(witness : Model.t) =
+(* Replay: run one agent once on [spec] in the engine's witness mode, every
+   branch decided by evaluating it under the witness, and return the
+   normalized trace of that one path.  Used by validation to confirm a
+   reported inconsistency by actually running both agents on the concrete
+   test case.  Every witness binding is still [assume]d as [v = value]
+   before the drive: the pins intern the witness constants, and interning
+   order reaches later witnesses' bytes (see DESIGN 5.2).  The path is kept
+   only if its condition holds under the witness (absent variables read as
+   zero, matching [Testcase] concretization). *)
+let execute_replay (agent : Agent_intf.t) (spec : Test_spec.t) ~(witness : Model.t) =
   let pinned env =
     List.iter
       (fun (v, value) ->
@@ -99,15 +98,12 @@ let execute_replay ?(max_paths = 64) ?solver_budget (agent : Agent_intf.t)
       (Model.bindings witness);
     drive agent spec env
   in
-  let result =
-    Engine.run ~strategy:Strategy.Dfs ~max_paths ?solver_budget pinned
-  in
   List.find_map
     (fun (r : Trace.event Engine.path_result) ->
       if Model.eval_bool witness r.Engine.path_cond then
         Some (Normalize.result ?crash:r.Engine.crashed r.Engine.events)
       else None)
-    result.Engine.results
+    (Engine.run ~concrete:witness pinned).Engine.results
 
 (* Crash isolation at the run boundary.  The engine already contains
    per-path exceptions; what still escapes it — an agent's [init] or

@@ -47,18 +47,16 @@ val execute :
     {!Symexec.Engine.run}). *)
 
 val execute_replay :
-  ?max_paths:int ->
-  ?solver_budget:Smt.Solver.budget ->
   Switches.Agent_intf.t ->
   Test_spec.t ->
   witness:Smt.Model.t ->
   Openflow.Trace.result option
-(** Re-execute [agent] on [spec] with every symbolic input pinned to the
-    [witness]'s concrete values, returning the normalized trace of the
-    explored path the witness selects — [None] if no explored path's
-    condition is satisfied by the witness (replay failure).  Validation
-    uses this to confirm reported inconsistencies by concrete re-execution
-    (paper §4.2: every inconsistency comes with a replayable test case). *)
+(** Run [agent] on [spec] once in the engine's witness mode
+    ({!Symexec.Engine.run} [~concrete:witness], no solver call), every
+    witness binding pinned first, and return that path's normalized trace
+    — [None] (replay failure) if an assumption is falsified or the path
+    exceeds the decision cap.  Validation uses this to confirm reported
+    inconsistencies by concrete re-execution (paper §4.2). *)
 
 type failure = {
   f_agent : string;

@@ -86,8 +86,7 @@ let compare_agents ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(job
   else
     {
       c with
-      c_validation =
-        Some (Validate.validate ?solver_budget agent_a agent_b spec c.c_outcome);
+      c_validation = Some (Validate.validate agent_a agent_b spec c.c_outcome);
     }
 
 (* Run a whole suite of tests between two agents.  Every per-agent run is
@@ -136,8 +135,7 @@ let compare_suite ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs
           else
             {
               c with
-              c_validation =
-                Some (Validate.validate ?solver_budget agent_a agent_b spec c.c_outcome);
+              c_validation = Some (Validate.validate agent_a agent_b spec c.c_outcome);
             }
         in
         comparisons := c :: !comparisons)

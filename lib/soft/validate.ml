@@ -17,11 +17,11 @@
      path (or itself raised) — the report is suspect and counts as
      unvalidated, not as confirmed.
 
-   Replay pins every witness variable to its concrete value and runs the
-   same engine, so it shares the agent models but *not* the crosscheck's
-   solver reasoning: the path taken is forced by unit-propagating
-   equalities, and the verdict is a syntactic comparison of normalized
-   trace keys. *)
+   Replay runs each agent once in the engine's witness mode, so it shares
+   the agent models but *not* the crosscheck's solver reasoning: every
+   branch is decided by evaluating its condition under the witness, no
+   solver is consulted, and the verdict is a syntactic comparison of
+   normalized trace keys. *)
 
 module Runner = Harness.Runner
 module Test_spec = Harness.Test_spec
@@ -54,18 +54,17 @@ let status_name = function
   | Refuted -> "REFUTED"
   | Replay_failed _ -> "replay-failed"
 
-let replay ?max_paths ?solver_budget agent spec ~witness ~who =
-  match Runner.execute_replay ?max_paths ?solver_budget agent spec ~witness with
+let replay agent spec ~witness ~who =
+  match Runner.execute_replay agent spec ~witness with
   | Some r -> Ok r
   | None -> Error (Printf.sprintf "%s: no explored path matches the witness" who)
   | exception Out_of_memory -> raise Out_of_memory
   | exception e -> Error (Printf.sprintf "%s: replay raised %s" who (Printexc.to_string e))
 
-let validate_one ?max_paths ?solver_budget agent_a agent_b (spec : Test_spec.t)
-    (inc : Crosscheck.inconsistency) =
+let validate_one agent_a agent_b (spec : Test_spec.t) (inc : Crosscheck.inconsistency) =
   let witness = inc.Crosscheck.i_witness in
-  let ra = replay ?max_paths ?solver_budget agent_a spec ~witness ~who:"agent-a" in
-  let rb = replay ?max_paths ?solver_budget agent_b spec ~witness ~who:"agent-b" in
+  let ra = replay agent_a spec ~witness ~who:"agent-a" in
+  let rb = replay agent_b spec ~witness ~who:"agent-b" in
   let status =
     match (ra, rb) with
     | Ok ta, Ok tb ->
@@ -80,12 +79,9 @@ let validate_one ?max_paths ?solver_budget agent_a agent_b (spec : Test_spec.t)
     v_replay_b = (match rb with Ok t -> Some t | Error _ -> None);
   }
 
-let validate ?max_paths ?solver_budget agent_a agent_b (spec : Test_spec.t)
-    (outcome : Crosscheck.outcome) =
+let validate agent_a agent_b (spec : Test_spec.t) (outcome : Crosscheck.outcome) =
   let results =
-    List.map
-      (validate_one ?max_paths ?solver_budget agent_a agent_b spec)
-      outcome.Crosscheck.o_inconsistencies
+    List.map (validate_one agent_a agent_b spec) outcome.Crosscheck.o_inconsistencies
   in
   let count st =
     List.length

@@ -1,16 +1,18 @@
 (** Replay-confirmed inconsistencies.
 
     Every crosscheck inconsistency carries a concrete witness input
-    (paper §4.2: a replayable test case).  Validation re-executes both
-    agents on that witness with all symbolic inputs pinned and compares
-    the concrete normalized traces, so a reported divergence no longer
-    rests on trusting the solver, the grouping, or witness extraction:
+    (paper §4.2: a replayable test case).  Validation runs each agent once
+    on that witness, deciding every branch by evaluation, and compares the
+    concrete normalized traces, so a reported divergence no longer rests
+    on trusting the solver, the grouping, or witness extraction:
 
     - [Confirmed]: the concrete traces differ — the finding stands;
     - [Refuted]: the concrete traces are identical — the report is wrong
       somewhere in the pipeline and must not be presented as a finding;
-    - [Replay_failed]: re-execution could not reproduce a claimed path —
-      the report is suspect and counts as unvalidated. *)
+    - [Replay_failed]: re-execution could not reproduce a claimed path
+      (an engine-fatal agent exception, the engine's decision cap, or an
+      assumption the witness falsifies) — the report is suspect and counts
+      as unvalidated. *)
 
 type status =
   | Confirmed
@@ -38,8 +40,6 @@ type summary = {
 val status_name : status -> string
 
 val validate_one :
-  ?max_paths:int ->
-  ?solver_budget:Smt.Solver.budget ->
   Switches.Agent_intf.t ->
   Switches.Agent_intf.t ->
   Harness.Test_spec.t ->
@@ -51,14 +51,12 @@ val validate_one :
     [Replay_failed]. *)
 
 val validate :
-  ?max_paths:int ->
-  ?solver_budget:Smt.Solver.budget ->
   Switches.Agent_intf.t ->
   Switches.Agent_intf.t ->
   Harness.Test_spec.t ->
   Crosscheck.outcome ->
   summary
-(** Validate every inconsistency of a crosscheck outcome. *)
+(** Validate every inconsistency of a crosscheck outcome (no solver query). *)
 
 val unconfirmed : summary -> int
 (** Refuted + replay-failed; nonzero means the inconsistency report

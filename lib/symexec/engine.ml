@@ -35,6 +35,7 @@ and 'ev engine_state = {
   max_decisions : int;
   use_interval : bool;
   solver_budget : Solver.budget option; (* per-query budget for arm solving *)
+  concrete : bool; (* witness mode: the cached model is the only feasible world *)
   mutable forks : int;
   mutable aborted : int;
   mutable truncated : int;
@@ -119,10 +120,12 @@ let path_condition env = List.rev env.pc_rev
    gives a fast sound UNSAT answer first.  A budget-exhausted [Unknown]
    degrades to "arm not taken": the path set may then be incomplete, which
    SOFT tolerates by design (§4.1) — the loss is counted in
-   [solver_unknowns] so reports can say so. *)
+   [solver_unknowns] so reports can say so.  In witness mode the cached
+   model (the witness, never dropped) is the only world: no arm is solved. *)
 let solve_arm env extra =
-  let dom' = Interval.copy env.dom in
-  if env.eng.use_interval && Interval.add dom' extra = Interval.Unsat then None
+  if env.eng.concrete then None
+  else if env.eng.use_interval && Interval.add (Interval.copy env.dom) extra = Interval.Unsat
+  then None
   else
     match
       Solver.check ~use_interval:false ?budget:env.eng.solver_budget (extra :: env.pc_rev)
@@ -279,7 +282,7 @@ let branch_eq ?loc env e v =
 (* Exploration driver *)
 
 let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 4096)
-    ?max_attempts ?(use_interval = true) ?deadline_ms ?solver_budget program =
+    ?max_attempts ?(use_interval = true) ?deadline_ms ?solver_budget ?concrete program =
   (* aborted and truncated re-executions consume attempts so that a program
      with unbounded symbolic branching cannot spin the driver forever *)
   let max_attempts =
@@ -292,8 +295,9 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
       frontier = Strategy.create strategy;
       global_cov = Coverage.empty_set ();
       max_decisions;
-      use_interval;
+      use_interval = use_interval && Option.is_none concrete;
       solver_budget;
+      concrete = Option.is_some concrete;
       forks = 0;
       aborted = 0;
       truncated = 0;
@@ -335,7 +339,7 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
             script;
             taken_rev = [];
             events_rev = [];
-            model = Some (Model.empty ());
+            model = Some (Option.value concrete ~default:(Model.empty ()));
             cov = Coverage.empty_set ();
             ndecisions = 0;
             eng;

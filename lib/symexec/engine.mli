@@ -110,6 +110,7 @@ val run :
   ?use_interval:bool ->
   ?deadline_ms:int ->
   ?solver_budget:Solver.budget ->
+  ?concrete:Model.t ->
   ('ev env -> unit) ->
   'ev run_result
 (** [run program] explores [program] until the frontier empties or a budget
@@ -122,6 +123,12 @@ val run :
     flight finish, no new frontier items start — [deadline_hit] records the
     cut); [solver_budget] bounds each feasibility query, with exhausted
     arms degrading to "not taken" and counted in [solver_unknowns].
+
+    [concrete] selects witness mode: one run, no solver, interval filter
+    or fork; {!branch} takes the arm the model evaluates [cond] to,
+    {!assume} kills the path iff the model falsifies [cond], {!concretize}
+    reads the model (unbound variables read as zero).  At most one path
+    results: none when an assume fails or [max_decisions] is exceeded.
 
     A path that raises an exception other than {!Path_crash}/{!Path_abort}
     is recorded as a crashed path (counted in [exceptions]) instead of

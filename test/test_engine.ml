@@ -224,6 +224,52 @@ let test_deterministic () =
   Alcotest.(check (list string)) "deterministic partition" (all_path_keys (run program))
     (all_path_keys (run program))
 
+(* Witness mode: one run of the program, every decision read off the
+   model, and no solver work at all. *)
+let solver_work () =
+  let s = Solver.stats () in
+  (s.Solver.queries, s.Solver.sat_calls)
+
+let witness bindings =
+  Model.of_bindings (List.map (fun (name, v) -> (Expr.make_var name 16, v)) bindings)
+
+let two_branches env =
+  let a = Engine.branch env (Expr.ult x (c16 10)) in
+  let b = Engine.branch env (Expr.eq y (c16 0)) in
+  let v = Engine.concretize env (Expr.add x y) in
+  Engine.emit env (Printf.sprintf "%b%b%Ld" a b v)
+
+let test_witness_single_path () =
+  let before = solver_work () in
+  let r = Engine.run ~concrete:(witness [ ("engx", 5L) ]) two_branches in
+  Alcotest.(check int) "exactly one path" 1 (path_count r);
+  Alcotest.(check int) "no forks" 0 r.Engine.stats.Engine.forks;
+  Alcotest.(check bool) "no solver queries" true (solver_work () = before)
+
+let test_witness_follows_model () =
+  let events w =
+    List.concat_map (fun p -> p.Engine.events) (Engine.run ~concrete:w two_branches).Engine.results
+  in
+  (* engy is unbound: it reads as 0, as in Testcase concretization *)
+  Alcotest.(check (list string)) "x=5, y unbound" [ "truetrue5" ]
+    (events (witness [ ("engx", 5L) ]));
+  Alcotest.(check (list string)) "x=50, y=3" [ "falsefalse53" ]
+    (events (witness [ ("engx", 50L); ("engy", 3L) ]));
+  Alcotest.(check (list string)) "empty model: everything 0" [ "truetrue0" ]
+    (events (Model.empty ()))
+
+let test_witness_assume_falsified () =
+  let before = solver_work () in
+  let r =
+    Engine.run ~concrete:(witness [ ("engx", 5L) ]) (fun env ->
+        Engine.assume env (Expr.ult x (c16 100));
+        Engine.assume env (Expr.eq x (c16 7));
+        Engine.emit env "unreachable")
+  in
+  Alcotest.(check int) "falsified assume kills the path" 0 (path_count r);
+  Alcotest.(check int) "abort counted" 1 r.Engine.stats.Engine.aborted;
+  Alcotest.(check bool) "no solver queries" true (solver_work () = before)
+
 let test_strategy_of_string () =
   let check_some msg expected s =
     match Strategy.of_string s with
@@ -263,4 +309,8 @@ let suite =
     Alcotest.test_case "constraint size stats" `Quick test_stats_constraint_sizes;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "strategy parsing round-trips" `Quick test_strategy_of_string;
+    Alcotest.test_case "witness mode takes one path" `Quick test_witness_single_path;
+    Alcotest.test_case "witness mode follows the model" `Quick test_witness_follows_model;
+    Alcotest.test_case "witness mode: falsified assume kills" `Quick
+      test_witness_assume_falsified;
   ]

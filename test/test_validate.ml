@@ -148,21 +148,62 @@ let test_exit_status () =
        ~validation:(summary ~confirmed:1 ~refuted:0 ~failed:1)
        (outcome ~incs:[ some_inc () ] ~undecided:[ ("A", "B") ] ()))
 
-(* Replay must select exactly the recorded behavior: pinning the witness
-   and re-executing the reference switch lands on a path whose normalized
-   trace is the one the crosscheck reported for it. *)
+(* Replay must select exactly the recorded behavior: running either agent
+   on any inconsistency's witness lands on the path whose normalized trace
+   the crosscheck reported for that agent. *)
 let test_replay_is_concrete () =
   let c = Lazy.force cmp in
-  let inc = List.hd c.Soft.Pipeline.c_outcome.Soft.Crosscheck.o_inconsistencies in
-  match
-    Runner.execute_replay ~max_paths:64 ref_agent c.Soft.Pipeline.c_test
-      ~witness:inc.Soft.Crosscheck.i_witness
-  with
-  | Some t ->
-    Alcotest.(check string) "replay reproduces the recorded trace"
-      (Trace.result_key inc.Soft.Crosscheck.i_result_a)
-      (Trace.result_key t)
-  | None -> Alcotest.fail "witness selected no path on replay"
+  let replay agent (inc : Soft.Crosscheck.inconsistency) =
+    let witness = inc.Soft.Crosscheck.i_witness in
+    match Runner.execute_replay agent c.Soft.Pipeline.c_test ~witness with
+    | Some t -> Trace.result_key t
+    | None -> Alcotest.fail "witness selected no path on replay"
+  in
+  List.iter
+    (fun (inc : Soft.Crosscheck.inconsistency) ->
+      Alcotest.(check string) "agent A replays its recorded trace"
+        (Trace.result_key inc.Soft.Crosscheck.i_result_a) (replay ref_agent inc);
+      Alcotest.(check string) "agent B replays its recorded trace"
+        (Trace.result_key inc.Soft.Crosscheck.i_result_b) (replay mod_agent inc))
+    c.Soft.Pipeline.c_outcome.Soft.Crosscheck.o_inconsistencies
+
+(* Validation decides every branch by evaluation: re-validating the shared
+   comparison issues no solver query at all. *)
+let test_validation_is_solver_free () =
+  let c = Lazy.force cmp in
+  let work () =
+    let s = Smt.Solver.stats () in
+    (s.Smt.Solver.queries, s.Smt.Solver.sat_calls)
+  in
+  let q0, s0 = work () in
+  let v =
+    Soft.Validate.validate ref_agent mod_agent c.Soft.Pipeline.c_test c.Soft.Pipeline.c_outcome
+  in
+  let q1, s1 = work () in
+  check_bool "still all confirmed" true (Soft.Validate.all_confirmed v);
+  check_int "solver queries" 0 (q1 - q0);
+  check_int "sat calls" 0 (s1 - s0)
+
+(* Ground truth for replay: every Phase-1 path of both agents, replayed on
+   a model of its own path condition, reproduces its own trace. *)
+let test_replay_reproduces_every_path () =
+  let c = Lazy.force cmp in
+  List.iter
+    (fun (agent, (run : Runner.run)) ->
+      let who = run.Runner.run_agent in
+      List.iter
+        (fun (p : Runner.path_record) ->
+          match Smt.Solver.check p.Runner.pr_constraints with
+          | Smt.Solver.Sat m -> (
+            match Runner.execute_replay agent c.Soft.Pipeline.c_test ~witness:m with
+            | Some t ->
+              Alcotest.(check string) "replay reproduces the path's trace"
+                (Trace.result_key p.Runner.pr_result) (Trace.result_key t)
+            | None -> Alcotest.failf "%s: a path's own model replayed to nothing" who)
+          | Smt.Solver.Unsat | Smt.Solver.Unknown _ ->
+            Alcotest.failf "%s: a recorded path condition is not satisfiable" who)
+        run.Runner.run_paths)
+    [ (ref_agent, c.Soft.Pipeline.c_run_a); (mod_agent, c.Soft.Pipeline.c_run_b) ]
 
 let suite =
   [
@@ -171,4 +212,6 @@ let suite =
     ("unreplayable report is replay-failed", `Quick, test_unreplayable_is_failed);
     ("exit-status policy", `Quick, test_exit_status);
     ("replay pins the witness concretely", `Quick, test_replay_is_concrete);
+    ("validation makes no solver queries", `Quick, test_validation_is_solver_free);
+    ("replay reproduces every phase-1 path", `Quick, test_replay_reproduces_every_path);
   ]
