@@ -47,9 +47,9 @@ let g_and ctx a b =
   else if a = lit_neg b then fls ctx
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ lit_neg o; a ];
-    Sat.add_clause ctx.sat [ lit_neg o; b ];
-    Sat.add_clause ctx.sat [ o; lit_neg a; lit_neg b ];
+    Sat.add_clause2 ctx.sat (lit_neg o) a;
+    Sat.add_clause2 ctx.sat (lit_neg o) b;
+    Sat.add_clause3 ctx.sat o (lit_neg a) (lit_neg b);
     o
   end
 
@@ -64,10 +64,10 @@ let g_xor ctx a b =
   else if a = lit_neg b then ctx.tru
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ lit_neg o; a; b ];
-    Sat.add_clause ctx.sat [ lit_neg o; lit_neg a; lit_neg b ];
-    Sat.add_clause ctx.sat [ o; lit_neg a; b ];
-    Sat.add_clause ctx.sat [ o; a; lit_neg b ];
+    Sat.add_clause3 ctx.sat (lit_neg o) a b;
+    Sat.add_clause3 ctx.sat (lit_neg o) (lit_neg a) (lit_neg b);
+    Sat.add_clause3 ctx.sat o (lit_neg a) b;
+    Sat.add_clause3 ctx.sat o a (lit_neg b);
     o
   end
 
@@ -80,10 +80,10 @@ let g_mux ctx c a b =
   else if a = b then a
   else begin
     let o = fresh ctx in
-    Sat.add_clause ctx.sat [ lit_neg c; lit_neg a; o ];
-    Sat.add_clause ctx.sat [ lit_neg c; a; lit_neg o ];
-    Sat.add_clause ctx.sat [ c; lit_neg b; o ];
-    Sat.add_clause ctx.sat [ c; b; lit_neg o ];
+    Sat.add_clause3 ctx.sat (lit_neg c) (lit_neg a) o;
+    Sat.add_clause3 ctx.sat (lit_neg c) a (lit_neg o);
+    Sat.add_clause3 ctx.sat c (lit_neg b) o;
+    Sat.add_clause3 ctx.sat c b (lit_neg o);
     o
   end
 
@@ -133,6 +133,11 @@ let blast_ult ctx a b =
     lt := g_or ctx bit_lt (g_and ctx bit_eq !lt)
   done;
   !lt
+
+(* signed order is unsigned order with the sign bits negated *)
+let flip_sign bits =
+  let n = Array.length bits in
+  Array.init n (fun i -> if i = n - 1 then lit_neg bits.(i) else bits.(i))
 
 (* --- expression blasting ---------------------------------------------- *)
 
@@ -237,18 +242,8 @@ and blast_bool ctx (b : Expr.boolean) =
         | Expr.Eq -> blast_eq ctx xb yb
         | Expr.Ult -> blast_ult ctx xb yb
         | Expr.Ule -> lit_neg (blast_ult ctx yb xb)
-        | Expr.Slt ->
-          let flip bits =
-            let n = Array.length bits in
-            Array.init n (fun i -> if i = n - 1 then lit_neg bits.(i) else bits.(i))
-          in
-          blast_ult ctx (flip xb) (flip yb)
-        | Expr.Sle ->
-          let flip bits =
-            let n = Array.length bits in
-            Array.init n (fun i -> if i = n - 1 then lit_neg bits.(i) else bits.(i))
-          in
-          lit_neg (blast_ult ctx (flip yb) (flip xb)))
+        | Expr.Slt -> blast_ult ctx (flip_sign xb) (flip_sign yb)
+        | Expr.Sle -> lit_neg (blast_ult ctx (flip_sign yb) (flip_sign xb)))
     in
     Hashtbl.add ctx.bool_memo b.bid l;
     l

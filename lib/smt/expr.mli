@@ -172,6 +172,10 @@ val bool_size : boolean -> int
     formula, counting shared subterms once — the "constraint size" metric
     of the paper's Table 2. *)
 
+val bool_size_upto : limit:int -> boolean list -> int
+(** [min limit] of the summed {!bool_size}, walking at most [limit]
+    operations. *)
+
 val vars_of_bool : boolean -> var list
 val vars_of_bv : bv -> var list
 

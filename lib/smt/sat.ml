@@ -60,6 +60,8 @@ type t = {
   mutable decisions : int; (* cumulative, for the decision budget *)
   mutable nlearnts : int; (* learnt clauses in the database *)
   mutable proof : proof_log option;
+  mutable lbuf : int array; (* the clause being added *)
+  mutable seen : Bytes.t; (* [analyze]'s marks, all clear between calls *)
 }
 
 let lit_var l = l lsr 1
@@ -92,6 +94,8 @@ let create () =
     decisions = 0;
     nlearnts = 0;
     proof = None;
+    lbuf = Array.make 8 0;
+    seen = Bytes.make 8 '\000';
   }
 
 (* --- proof logging --------------------------------------------------- *)
@@ -101,10 +105,10 @@ let enable_proof s =
 
 let proof_enabled s = s.proof <> None
 
-let log_original s lits =
+let log_original s lits n =
   match s.proof with
   | None -> ()
-  | Some p -> p.p_orig_rev <- Array.of_list lits :: p.p_orig_rev
+  | Some p -> p.p_orig_rev <- Array.sub lits 0 n :: p.p_orig_rev
 
 let log_step s step =
   match s.proof with
@@ -117,26 +121,10 @@ let proof_steps s =
 let original_clauses s =
   match s.proof with None -> [] | Some p -> List.rev p.p_orig_rev
 
-let grow_int_array a n default =
+let grow a n default =
   if Array.length a >= n then a
   else begin
     let b = Array.make (max n (2 * Array.length a + 1)) default in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let grow_float_array a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a + 1)) 0.0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
-let grow_bool_array a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a + 1)) false in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -173,7 +161,7 @@ let rec heap_down s i =
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
-    s.heap <- grow_int_array s.heap (s.heap_size + 1) 0;
+    s.heap <- grow s.heap (s.heap_size + 1) 0;
     s.heap.(s.heap_size) <- v;
     s.heap_pos.(v) <- s.heap_size;
     s.heap_size <- s.heap_size + 1;
@@ -208,14 +196,19 @@ let decay_activities s = s.var_inc <- s.var_inc /. 0.95
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.assigns <- grow_int_array s.assigns s.nvars 0;
-  s.level <- grow_int_array s.level s.nvars 0;
-  s.reason <- grow_int_array s.reason s.nvars (-1);
-  s.activity <- grow_float_array s.activity s.nvars;
-  s.polarity <- grow_bool_array s.polarity s.nvars;
-  s.heap_pos <- grow_int_array s.heap_pos s.nvars (-1);
-  s.trail <- grow_int_array s.trail s.nvars 0;
-  s.trail_lim <- grow_int_array s.trail_lim s.nvars 0;
+  (* one capacity for every per-variable array ([solve] may grow [trail_lim] further) *)
+  if s.nvars > Array.length s.assigns then begin
+    let n = s.nvars in
+    s.assigns <- grow s.assigns n 0;
+    s.level <- grow s.level n 0;
+    s.reason <- grow s.reason n (-1);
+    s.activity <- grow s.activity n 0.0;
+    s.polarity <- grow s.polarity n false;
+    s.heap_pos <- grow s.heap_pos n (-1);
+    s.trail <- grow s.trail n 0;
+    s.trail_lim <- grow s.trail_lim n 0;
+    s.seen <- Bytes.make (Array.length s.assigns) '\000'
+  end;
   if Array.length s.watches < 2 * s.nvars then begin
     let w = Array.make (max (2 * s.nvars) (2 * Array.length s.watches + 2)) [] in
     Array.blit s.watches 0 w 0 (Array.length s.watches);
@@ -267,36 +260,70 @@ let cancel_until s lvl =
     s.ndecisions <- lvl
   end
 
-(* Add a problem clause.  May be called between [solve]s: any leftover
-   non-root assignment is unwound first, so the level-0 simplification
-   below only ever filters by permanent assignments. *)
-let add_clause s lits =
+(* The one clause path: add the clause in [lbuf.(0 .. n-1)] (contract in
+   sat.mli).  Any leftover non-root assignment is unwound first, so the
+   level-0 simplification only filters by permanent assignments.  Sorting
+   (insertion sort: the blaster's clauses have 2-3 literals), dedup and
+   filtering run in place; only a stored clause allocates its array. *)
+let add_lbuf s n =
   cancel_until s 0;
-  log_original s lits;
+  let a = s.lbuf in
+  log_original s a n;
   if s.ok then begin
-    (* dedup, drop false lits? At level 0 we can simplify by assignments. *)
-    let lits = List.sort_uniq compare lits in
-    let tauto =
-      List.exists (fun l -> List.exists (fun l' -> l' = lit_neg l) lits) lits
-    in
-    if not tauto then begin
-      let lits = List.filter (fun l -> lit_value s l <> 2) lits in
-      if List.exists (fun l -> lit_value s l = 1) lits then ()
-      else
-        match lits with
-        | [] ->
-          (* the clause is falsified by level-0 units, all of which an RUP
-             checker rederives by propagation — the contradiction is a
-             legitimate proof step *)
-          log_step s (P_add [||]);
-          s.ok <- false
-        | [ l ] -> enqueue s l (-1)
-        | _ ->
-          let arr = Array.of_list lits in
-          let ci = push_clause s { lits = arr; learnt = false } in
-          watch_clause s ci
-    end
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+    (* a literal and its negation ([2v], [2v+1]) sort next to each other *)
+    let k = ref 0 and drop = ref false and prev = ref (-1) in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      if l <> !prev then begin
+        if l = lit_neg !prev then drop := true
+        else begin
+          match lit_value s l with
+          | 1 -> drop := true
+          | 2 -> ()
+          | _ ->
+            a.(!k) <- l;
+            incr k
+        end;
+        prev := l
+      end
+    done;
+    if not !drop then
+      match !k with
+      | 0 ->
+        (* the clause is falsified by level-0 units, all of which an RUP
+           checker rederives by propagation — the contradiction is a
+           legitimate proof step *)
+        log_step s (P_add [||]);
+        s.ok <- false
+      | 1 -> enqueue s a.(0) (-1)
+      | k -> watch_clause s (push_clause s { lits = Array.sub a 0 k; learnt = false })
   end
+
+let add_clause s lits =
+  let n = List.length lits in
+  s.lbuf <- grow s.lbuf n 0;
+  List.iteri (fun i l -> s.lbuf.(i) <- l) lits;
+  add_lbuf s n
+
+let add_clause2 s a b =
+  s.lbuf.(0) <- a;
+  s.lbuf.(1) <- b;
+  add_lbuf s 2
+
+let add_clause3 s a b c =
+  s.lbuf.(0) <- a;
+  s.lbuf.(1) <- b;
+  s.lbuf.(2) <- c;
+  add_lbuf s 3
 
 (* --- propagation ---------------------------------------------------- *)
 
@@ -363,7 +390,7 @@ let propagate s =
 (* --- conflict analysis (first UIP) ---------------------------------- *)
 
 let analyze s confl =
-  let seen = Bytes.make s.nvars '\000' in
+  let seen = s.seen in
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
@@ -398,6 +425,8 @@ let analyze s confl =
     if !counter <= 0 then continue := false
     else confl := s.reason.(lit_var !p)
   done;
+  (* the trail walk cleared every current-level mark; clear the rest *)
+  List.iter (fun q -> Bytes.set seen (lit_var q) '\000') !learnt;
   let learnt = lit_neg !p :: !learnt in
   (learnt, !btlevel)
 
@@ -484,7 +513,7 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
     (* one level per assumption (even ones already true get an empty
        level, keeping level index = assumption index) plus one per free
        decision *)
-    s.trail_lim <- grow_int_array s.trail_lim (s.nvars + nassume + 1) 0;
+    s.trail_lim <- grow s.trail_lim (s.nvars + nassume + 1) 0;
     let conflicts0 = s.conflicts and decisions0 = s.decisions in
     (* Fetch the supervision token once: the per-conflict/per-decision check
        is then a single atomic load.  Cancellation raises out of the search;

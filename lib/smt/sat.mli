@@ -31,10 +31,18 @@ val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
 val add_clause : t -> int list -> unit
-(** Add a problem clause (list of literals).  May be called before the
-    first {!solve} or between solves (any leftover assignment above level
-    0 is unwound first).  Tautologies are dropped; an empty clause makes
-    the instance permanently unsatisfiable. *)
+(** Add a problem clause, before the first {!solve} or between solves.
+    Contract of every [add_clause*]: under proof logging the clause is
+    recorded exactly as given ({!original_clauses}); it is then sorted
+    ascending and deduplicated, dropped if a tautology or true at level 0,
+    and stripped of literals false at level 0.  Two or more literals are
+    stored and watched, a unit is enqueued at level 0, and an empty
+    clause makes the instance permanently unsatisfiable. *)
+
+val add_clause2 : t -> int -> int -> unit
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause] of a two- or three-literal clause, with no list and no
+    allocation beyond a stored clause's array — the blaster's path. *)
 
 val solve :
   ?assumptions:int array ->

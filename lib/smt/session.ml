@@ -76,7 +76,7 @@ let core t budget conds =
   List.iter
     (fun (b : Expr.boolean) ->
       if not (Hashtbl.mem t.base_ids b.Expr.bid) then
-        Sat.add_clause sat [ Sat.lit_neg g; Bitblast.blast_bool t.bctx b ])
+        Sat.add_clause2 sat (Sat.lit_neg g) (Bitblast.blast_bool t.bctx b))
     conds;
   t.active <- Some g;
   let deadline =

@@ -539,7 +539,7 @@ let check_with ?(use_interval = true) ?(use_cache = true) ?budget ~core conds =
         && begin
           let threshold = canon_threshold () in
           c.c_stats.canon_threshold_nodes <- threshold;
-          List.fold_left (fun n cond -> n + Expr.bool_size cond) 0 conds < threshold
+          Expr.bool_size_upto ~limit:threshold conds < threshold
         end
       in
       if canon_small then

@@ -7,7 +7,10 @@
    records a *replay script* for the unexplored arm on the frontier and
    continues down the chosen arm.  Each frontier item is re-executed from
    the start with its script; scripted decisions are consumed without
-   solver calls, so the solver only runs at genuinely new forks.
+   solver calls, so the solver only runs at genuinely new forks.  Each
+   frontier item also carries the model its fork solved for the deferred
+   arm: that model satisfies the whole replayed prefix, so the first new
+   branch after the replay solves one arm, not two.
 
    This plays the role Cloud9 plays for SOFT: it produces, per explored
    path, the path condition, the normalized output events, and the covered
@@ -30,7 +33,7 @@ type 'ev env = {
 }
 
 and 'ev engine_state = {
-  frontier : decision list Strategy.frontier;
+  frontier : (decision list * Model.t option) Strategy.frontier;
   global_cov : Coverage.set;
   max_decisions : int;
   use_interval : bool;
@@ -197,7 +200,7 @@ let branch ?loc env cond =
            | Some bp -> not (Coverage.covered env.eng.global_cov bp.Coverage.on_false)
          in
          let alt_script = List.rev (Dir false :: env.taken_rev) in
-         Strategy.add env.eng.frontier ~fresh alt_script;
+         Strategy.add env.eng.frontier ~fresh (alt_script, model_false);
          env.model <- model_true;
          take_dir env loc cond true
        | true, false ->
@@ -321,7 +324,8 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
       true
     | _ -> false
   in
-  Strategy.add eng.frontier ~fresh:true [];
+  Strategy.add eng.frontier ~fresh:true
+    ([], Some (Option.value concrete ~default:(Model.empty ())));
   let results = ref [] in
   let count = ref 0 in
   let attempts = ref 0 in
@@ -330,7 +334,7 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
     else
       match Strategy.pop eng.frontier with
       | None -> ()
-      | Some script ->
+      | Some (script, model) ->
         incr attempts;
         let env =
           {
@@ -339,38 +343,31 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
             script;
             taken_rev = [];
             events_rev = [];
-            model = Some (Option.value concrete ~default:(Model.empty ()));
+            model;
             cov = Coverage.empty_set ();
             ndecisions = 0;
             eng;
           }
         in
+        let record crashed =
+          incr count;
+          let pc = List.rev env.pc_rev in
+          results :=
+            {
+              pc;
+              path_cond = Expr.balanced_conj pc;
+              events = List.rev env.events_rev;
+              crashed;
+              covered = Coverage.snapshot env.cov;
+              decisions = env.ndecisions;
+            }
+            :: !results
+        in
         (try
            (try program env with Path_stop -> ());
-           incr count;
-           results :=
-             {
-               pc = List.rev env.pc_rev;
-               path_cond = Expr.balanced_conj (List.rev env.pc_rev);
-               events = List.rev env.events_rev;
-               crashed = None;
-               covered = Coverage.snapshot env.cov;
-               decisions = env.ndecisions;
-             }
-             :: !results
+           record None
          with
-         | Path_crash msg ->
-           incr count;
-           results :=
-             {
-               pc = List.rev env.pc_rev;
-               path_cond = Expr.balanced_conj (List.rev env.pc_rev);
-               events = List.rev env.events_rev;
-               crashed = Some msg;
-               covered = Coverage.snapshot env.cov;
-               decisions = env.ndecisions;
-             }
-             :: !results
+         | Path_crash msg -> record (Some msg)
          | Path_abort -> ()
          | (Out_of_memory | Solver.Solver_error _) as e ->
            (* process-level resource exhaustion and solver soundness
@@ -381,17 +378,7 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
            (* crash isolation: an uncaught exception in the agent ends this
               path with a crash record instead of aborting the whole run *)
            eng.exceptions <- eng.exceptions + 1;
-           incr count;
-           results :=
-             {
-               pc = List.rev env.pc_rev;
-               path_cond = Expr.balanced_conj (List.rev env.pc_rev);
-               events = List.rev env.events_rev;
-               crashed = Some ("uncaught exception: " ^ Printexc.to_string e);
-               covered = Coverage.snapshot env.cov;
-               decisions = env.ndecisions;
-             }
-             :: !results);
+           record (Some ("uncaught exception: " ^ Printexc.to_string e)));
         loop ()
   in
   loop ();

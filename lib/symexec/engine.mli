@@ -9,8 +9,11 @@
     re-execute the program from the start; scripted decisions replay
     without solver calls, so the solver runs only at genuinely new forks.
 
-    A cached satisfying model of the current path condition decides most
-    branch feasibilities without any solver query at all.
+    A cached satisfying model of the current path condition decides one
+    arm of most branches without a solver query.  A frontier item starts
+    from the model its fork solved for the deferred arm, which satisfies
+    the whole replayed prefix, so the path's first new branch solves one
+    arm, not two.
 
     This engine plays the role Cloud9 plays for SOFT: it produces, per
     explored path, the path condition, the emitted events, and the covered

@@ -270,6 +270,55 @@ let test_witness_assume_falsified () =
   Alcotest.(check int) "abort counted" 1 r.Engine.stats.Engine.aborted;
   Alcotest.(check bool) "no solver queries" true (solver_work () = before)
 
+(* Deferred paths inherit their fork's model.  Two independent branches
+   under DFS: the root path solves one arm at each (the empty model picks
+   the other), the deferred [x >= 10] path starts from the model its fork
+   solved, so its first new branch (on [y]) solves one arm too; replayed
+   branches solve nothing.  Three SAT calls in all — without the
+   inherited model the deferred path would solve both arms of [y = 7]. *)
+let test_deferred_path_inherits_model () =
+  Solver.clear_cache ();
+  let sat_calls () = (Solver.stats ()).Solver.sat_calls in
+  let before = sat_calls () in
+  let r =
+    run ~strategy:Strategy.Dfs (fun env ->
+        let a = Engine.branch env (Expr.ult x (c16 10)) in
+        let n0 = sat_calls () in
+        let b = Engine.branch env (Expr.eq y (c16 7)) in
+        Engine.emit env (Printf.sprintf "%b%b:%d" a b (sat_calls () - n0)))
+  in
+  let events = List.concat_map (fun p -> p.Engine.events) r.Engine.results in
+  Alcotest.(check (list string)) "one solve at each new y-branch, none on replay"
+    [ "truetrue:1"; "truefalse:0"; "falsetrue:1"; "falsefalse:0" ]
+    events;
+  Alcotest.(check int) "forks" 3 r.Engine.stats.Engine.forks;
+  Alcotest.(check int) "sat calls (run stats)" 3 r.Engine.stats.Engine.solver_sat_calls;
+  Alcotest.(check int) "sat calls (solver stats)" 3 (sat_calls () - before)
+
+(* Packet Out exploration pinned: path count, forks and aborts are those of
+   an engine that restarts every deferred path from an empty model (model
+   choice never changes which arms are feasible); the SAT call counts are
+   what inheriting the fork's model brings them down to (406, 373, 480
+   and 410 from an empty model). *)
+let test_packet_out_exploration_pinned () =
+  let spec = Harness.Test_spec.packet_out () in
+  List.iter
+    (fun (name, agent, strategy, forks, sat_calls) ->
+      Solver.clear_cache ();
+      let r = Harness.Runner.execute ~max_paths:200 ~strategy agent spec in
+      let s = r.Harness.Runner.run_stats in
+      let check what = Alcotest.(check int) (name ^ " " ^ what) in
+      check "paths" 200 s.Engine.path_count;
+      check "forks" forks s.Engine.forks;
+      check "aborted" 0 s.Engine.aborted;
+      check "sat_calls" sat_calls s.Engine.solver_sat_calls)
+    [
+      ("ref random:1", Switches.Reference_switch.agent, Strategy.Random 1, 234, 238);
+      ("ref dfs", Switches.Reference_switch.agent, Strategy.Dfs, 203, 207);
+      ("ovs random:1", Switches.Open_vswitch.agent, Strategy.Random 1, 256, 327);
+      ("ovs dfs", Switches.Open_vswitch.agent, Strategy.Dfs, 204, 248);
+    ]
+
 let test_strategy_of_string () =
   let check_some msg expected s =
     match Strategy.of_string s with
@@ -313,4 +362,8 @@ let suite =
     Alcotest.test_case "witness mode follows the model" `Quick test_witness_follows_model;
     Alcotest.test_case "witness mode: falsified assume kills" `Quick
       test_witness_assume_falsified;
+    Alcotest.test_case "deferred path inherits its fork's model" `Quick
+      test_deferred_path_inherits_model;
+    Alcotest.test_case "packet_out exploration pinned" `Quick
+      test_packet_out_exploration_pinned;
   ]

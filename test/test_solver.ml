@@ -54,6 +54,102 @@ let test_sat_pigeonhole () =
   done;
   check_bool "pigeonhole unsat" true (Sat.solve s = Sat.Unsat)
 
+(* Clause construction: every entry point ([add_clause] and the
+   fixed-arity [add_clause2]/[add_clause3]) normalises the same way.
+   [add] receives each clause as a list and picks the entry. *)
+let normalisation_scenario add =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  let pos v = 2 * v and neg v = (2 * v) + 1 in
+  let stored msg n =
+    let _, _, _, nclauses = Sat.stats s in
+    Alcotest.(check int) msg n nclauses
+  in
+  add s [ pos a; pos a ];
+  stored "duplicates collapse to a unit, enqueued not stored" 0;
+  add s [ pos b; neg b ];
+  stored "tautology dropped" 0;
+  add s [ neg c; neg a; pos b ];
+  stored "level-0-false literal removed, binary stored" 1;
+  add s [ pos a; neg c ];
+  stored "clause satisfied at level 0 dropped" 1;
+  add s [ neg b; neg a ];
+  stored "level-0-false literal removed, unit enqueued" 1;
+  check_bool "sat" true (Sat.solve s = Sat.Sat);
+  check_bool "a" true (Sat.model_value s a);
+  check_bool "b" false (Sat.model_value s b);
+  check_bool "c" false (Sat.model_value s c);
+  add s [ neg a; pos b ];
+  stored "empty clause stores nothing" 1;
+  check_bool "empty clause: unsat" true (Sat.solve s = Sat.Unsat);
+  add s [ pos c; pos c ];
+  check_bool "stays unsat" true (Sat.solve s = Sat.Unsat)
+
+let add_fixed s = function
+  | [ x; y ] -> Sat.add_clause2 s x y
+  | [ x; y; z ] -> Sat.add_clause3 s x y z
+  | lits -> Sat.add_clause s lits
+
+let test_clause_normalisation () =
+  normalisation_scenario Sat.add_clause;
+  normalisation_scenario add_fixed;
+  (* every two-literal clause through add_clause3, with a duplicate *)
+  normalisation_scenario (fun s -> function
+    | [ x; y ] -> Sat.add_clause3 s x y x
+    | lits -> add_fixed s lits)
+
+let test_original_clauses_as_given () =
+  let s = Sat.create () in
+  Sat.enable_proof s;
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  let clauses =
+    [
+      [| 2 * c; (2 * a) + 1 |];
+      [| 2 * b; 2 * b; (2 * a) + 1 |];
+      [| (2 * a) + 1; 2 * a |] (* tautology, dropped from the database *);
+      [| 2 * a |];
+      [| (2 * c) + 1; 2 * b; (2 * a) + 1 |];
+      [| 2 * a; 2 * b; 2 * c |] (* satisfied at level 0 *);
+    ]
+  in
+  List.iter
+    (fun cl ->
+      match cl with
+      | [| x; y |] -> Sat.add_clause2 s x y
+      | [| x; y; z |] -> Sat.add_clause3 s x y z
+      | _ -> Sat.add_clause s (Array.to_list cl))
+    clauses;
+  check_bool "caller's literal order, every clause" true (Sat.original_clauses s = clauses)
+
+(* differential: the list path and the fixed-arity path build the same
+   instance — same database size after every clause, same search, same
+   model, same proof record *)
+let prop_fixed_arity_matches_list =
+  QCheck2.Test.make ~name:"add_clause2/3 build what add_clause builds" ~count:200
+    QCheck2.Gen.(
+      let* nvars = int_range 1 6 in
+      let+ clauses =
+        list_size (int_range 1 30)
+          (list_size (int_range 1 3)
+             (let* v = int_range 0 (nvars - 1) in
+              let+ sign = bool in
+              (2 * v) + if sign then 1 else 0))
+      in
+      (nvars, clauses))
+    (fun (nvars, clauses) ->
+      let build add =
+        let s = Sat.create () in
+        Sat.enable_proof s;
+        for _ = 1 to nvars do
+          ignore (Sat.new_var s)
+        done;
+        let sizes = List.map (fun cl -> add s cl; Sat.stats s) clauses in
+        let r = Sat.solve s in
+        (sizes, r, List.init nvars (Sat.model_value s), Sat.stats s, Sat.original_clauses s)
+      in
+      let ((_, _, _, _, orig) as l) = build Sat.add_clause in
+      l = build add_fixed && orig = List.map Array.of_list clauses)
+
 let prop_sat_vs_bruteforce =
   (* random small CNF vs exhaustive enumeration *)
   QCheck2.Test.make ~name:"CDCL agrees with brute force on small CNF" ~count:200
@@ -244,6 +340,9 @@ let suite =
     Alcotest.test_case "sat unsat" `Quick test_sat_unsat;
     Alcotest.test_case "sat pigeonhole" `Quick test_sat_pigeonhole;
     QCheck_alcotest.to_alcotest prop_sat_vs_bruteforce;
+    Alcotest.test_case "clause normalisation, every entry" `Quick test_clause_normalisation;
+    Alcotest.test_case "original clauses as given" `Quick test_original_clauses_as_given;
+    QCheck_alcotest.to_alcotest prop_fixed_arity_matches_list;
     Alcotest.test_case "arithmetic system" `Quick test_arith_solving;
     Alcotest.test_case "unsat ranges" `Quick test_unsat_range;
     Alcotest.test_case "multiplication inverse" `Quick test_mul_inverse;
