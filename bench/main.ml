@@ -105,7 +105,7 @@ let write_json () =
     Printf.printf "wrote %s\n" path
 
 (* Ablation control runs deliberately replay production work cold — caches
-   cleared between stages, memo layers switched off — to provide the
+   cleared between stages, the memo switched off — to provide the
    baselines their sections report.  Banking their query traffic here and
    subtracting it from the closing solver totals keeps the suite-wide
    cache figures about the system, not the harness: a hit rate that
@@ -115,24 +115,20 @@ let write_json () =
 type excluded_stats = {
   mutable ex_sat : int;
   mutable ex_cache : int;
-  mutable ex_canonical : int;
   mutable ex_interval : int;
 }
 
-let excluded = { ex_sat = 0; ex_cache = 0; ex_canonical = 0; ex_interval = 0 }
+let excluded = { ex_sat = 0; ex_cache = 0; ex_interval = 0 }
 
 let ablation f =
   let s = Smt.Solver.stats () in
   let sat0 = s.Smt.Solver.sat_calls
   and cache0 = s.Smt.Solver.cache_hits
-  and canon0 = s.Smt.Solver.canonical_hits
   and interval0 = s.Smt.Solver.interval_hits in
   Fun.protect
     ~finally:(fun () ->
       excluded.ex_sat <- excluded.ex_sat + (s.Smt.Solver.sat_calls - sat0);
       excluded.ex_cache <- excluded.ex_cache + (s.Smt.Solver.cache_hits - cache0);
-      excluded.ex_canonical <-
-        excluded.ex_canonical + (s.Smt.Solver.canonical_hits - canon0);
       excluded.ex_interval <-
         excluded.ex_interval + (s.Smt.Solver.interval_hits - interval0))
     f
@@ -142,19 +138,14 @@ let solver_stats_json () =
   let s = Smt.Solver.stats () in
   let sat_calls = s.Smt.Solver.sat_calls - excluded.ex_sat in
   let cache_hits = s.Smt.Solver.cache_hits - excluded.ex_cache in
-  let canonical_hits = s.Smt.Solver.canonical_hits - excluded.ex_canonical in
   let hit_rate =
-    (* a hit is any verdict served from either memo level — the exact-key
-       cache or the α-invariant canonical cache *)
-    let hits = cache_hits + canonical_hits in
-    let looked = sat_calls + hits in
-    if looked = 0 then 0.0 else float_of_int hits /. float_of_int looked
+    let looked = sat_calls + cache_hits in
+    if looked = 0 then 0.0 else float_of_int cache_hits /. float_of_int looked
   in
   J_obj
     [
       ("sat_calls", J_int sat_calls);
       ("cache_hits", J_int cache_hits);
-      ("canonical_hits", J_int canonical_hits);
       ("cache_hit_rate", J_num hit_rate);
       ("cache_evictions", J_int s.Smt.Solver.cache_evictions);
       ("interval_hits", J_int (s.Smt.Solver.interval_hits - excluded.ex_interval));
@@ -164,7 +155,6 @@ let solver_stats_json () =
           [
             ("sat_calls", J_int excluded.ex_sat);
             ("cache_hits", J_int excluded.ex_cache);
-            ("canonical_hits", J_int excluded.ex_canonical);
             ("interval_hits", J_int excluded.ex_interval);
           ] );
     ]
@@ -463,7 +453,7 @@ let section_5_1_2 () =
    same process, re-run every Table 3 comparison from scratch — symbolic
    execution, grouping, crosscheck, no run memo — against the cache the
    first pass left warm.  Every query a patch did not change is served
-   from the memo levels; the re-run pays only for what moved. *)
+   from the memo; the re-run pays only for what moved. *)
 
 let regression_rerun () =
   header
@@ -471,8 +461,7 @@ let regression_rerun () =
      as a standing interoperability suite re-runs after a switch patch)";
   let st = Smt.Solver.stats () in
   let sat0 = st.Smt.Solver.sat_calls
-  and cache0 = st.Smt.Solver.cache_hits
-  and canon0 = st.Smt.Solver.canonical_hits in
+  and cache0 = st.Smt.Solver.cache_hits in
   Printf.printf "%-14s %6s | %10s %10s | %s\n" "Test" "pairs" "t(first)" "t(rerun)"
     "speedup";
   let rows = ref [] in
@@ -510,16 +499,14 @@ let regression_rerun () =
   let wall = Unix.gettimeofday () -. t0 in
   let sat = st.Smt.Solver.sat_calls - sat0 in
   let cache = st.Smt.Solver.cache_hits - cache0 in
-  let canon = st.Smt.Solver.canonical_hits - canon0 in
   let hit_rate =
-    let hits = cache + canon in
-    let looked = sat + hits in
-    if looked = 0 then 0.0 else float_of_int hits /. float_of_int looked
+    let looked = sat + cache in
+    if looked = 0 then 0.0 else float_of_int cache /. float_of_int looked
   in
   Printf.printf
-    "re-run end to end (incl. symbolic execution): %.2fs — %d exact + %d canonical \
-     hits, %d SAT calls (hit rate %.3f)\n"
-    wall cache canon sat hit_rate;
+    "re-run end to end (incl. symbolic execution): %.2fs — %d cache hits, %d SAT \
+     calls (hit rate %.3f)\n"
+    wall cache sat hit_rate;
   record "regression"
     (J_obj
        [
@@ -528,7 +515,6 @@ let regression_rerun () =
          ("rerun_wall_time", J_num wall);
          ("sat_calls", J_int sat);
          ("cache_hits", J_int cache);
-         ("canonical_hits", J_int canon);
          ("cache_hit_rate", J_num hit_rate);
        ])
 
@@ -730,7 +716,7 @@ let incremental_crosscheck () =
   (* the exact reported facts, minus timing: the modes must agree on these
      byte for byte (the property test covers randomized matrices; this is
      the same assertion on the real suite) *)
-  let canon (o : Soft.Crosscheck.outcome) =
+  let facts (o : Soft.Crosscheck.outcome) =
     ( List.map
         (fun (inc : Soft.Crosscheck.inconsistency) ->
           ( Openflow.Trace.result_key inc.Soft.Crosscheck.i_result_a,
@@ -763,7 +749,7 @@ let incremental_crosscheck () =
       let sessions_before = st.Smt.Solver.sessions_opened in
       let o_scratch = measure false in
       let o_incr = measure true in
-      assert (canon o_scratch = canon o_incr);
+      assert (facts o_scratch = facts o_incr);
       let ts = o_scratch.Soft.Crosscheck.o_check_time in
       let ti = o_incr.Soft.Crosscheck.o_check_time in
       total_scratch := !total_scratch +. ts;
@@ -823,120 +809,6 @@ let incremental_crosscheck () =
          ("blast_reuse_rate", J_num reuse);
          ("learnt_retained", J_int learnt);
          ("tests", J_arr (List.rev !rows));
-       ])
-
-(* ---------------------------------------------------------------------- *)
-(* Canonical memo + warm-cache pipeline: the full packet_out
-   comparison end to end — execute every agent, group, crosscheck against
-   both cut-throughs — measured the way the bench ran before this
-   optimisation round (memo layers off, cache cleared between stages) vs
-   the production configuration (canonical memo on, one warm cache
-   across the whole pipeline, as Pipeline.compare_agents runs
-   it).  The verdicts, witnesses and undecided counts must agree byte for
-   byte; only the time may move. *)
-
-let canonical_crosscheck () =
-  header
-    "Canonical memo, end to end (Packet Out: execute 3 agents,\n\
-     crosscheck vs Modified and OVS; cold per-stage vs warm production pipeline)";
-  let spec = Spec.packet_out () in
-  (* the reported facts minus timing must not depend on the optimisations *)
-  let facts (o : Soft.Crosscheck.outcome) =
-    ( List.map
-        (fun (inc : Soft.Crosscheck.inconsistency) ->
-          ( Openflow.Trace.result_key inc.Soft.Crosscheck.i_result_a,
-            Openflow.Trace.result_key inc.i_result_b,
-            List.map
-              (fun (v, value) -> (Smt.Expr.var_name v, Smt.Expr.var_width v, value))
-              (Smt.Model.bindings inc.i_witness) ))
-        o.Soft.Crosscheck.o_inconsistencies,
-      o.o_pairs_undecided )
-  in
-  (* fresh executions on purpose — get_run's memo would hide the
-     symbolic-execution share of the pipeline *)
-  let pipeline ~enabled =
-    let stage f =
-      if not enabled then Smt.Solver.clear_cache ();
-      f ()
-    in
-    Smt.Solver.clear_cache ();
-    Smt.Solver.set_canon enabled;
-    let t0 = Unix.gettimeofday () in
-    let run ag = stage (fun () -> Runner.execute ~max_paths:budget ag spec) in
-    let r_ref = run Switches.Reference_switch.agent in
-    let r_mod = run Switches.Modified_switch.agent in
-    let r_ovs = run Switches.Open_vswitch.agent in
-    let ga = Soft.Grouping.of_run r_ref in
-    let o_mod =
-      stage (fun () ->
-          Soft.Crosscheck.check ~jobs:1 ga (Soft.Grouping.of_run r_mod))
-    in
-    let o_ovs =
-      stage (fun () ->
-          Soft.Crosscheck.check ~jobs:1 ga (Soft.Grouping.of_run r_ovs))
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    Smt.Solver.set_canon true;
-    (dt, o_mod, o_ovs)
-  in
-  (* three interleaved rounds, best-of per variant: a single-shot wall
-     time on a shared machine is noisy enough (±15% observed) to drown
-     the effect being measured; the enabled run's stat deltas come from
-     the last round (each round starts from a cleared cache, so rounds
-     agree) *)
-  let st = Smt.Solver.stats () in
-  let t_off = ref infinity and t_on = ref infinity in
-  let last = ref None in
-  let canonical_hits = ref 0
-  and cache_hits = ref 0
-  and sat_calls = ref 0 in
-  for _round = 1 to 3 do
-    let toff, off_mod, off_ovs = pipeline ~enabled:false in
-    let hits0 = st.Smt.Solver.canonical_hits
-    and cache0 = st.Smt.Solver.cache_hits
-    and sat0 = st.Smt.Solver.sat_calls in
-    let ton, on_mod, on_ovs = pipeline ~enabled:true in
-    assert (facts off_mod = facts on_mod);
-    assert (facts off_ovs = facts on_ovs);
-    t_off := min !t_off toff;
-    t_on := min !t_on ton;
-    canonical_hits := st.Smt.Solver.canonical_hits - hits0;
-    cache_hits := st.Smt.Solver.cache_hits - cache0;
-    sat_calls := st.Smt.Solver.sat_calls - sat0;
-    last := Some (on_mod, on_ovs)
-  done;
-  let t_off = !t_off and t_on = !t_on in
-  let canonical_hits = !canonical_hits
-  and cache_hits = !cache_hits
-  and sat_calls = !sat_calls in
-  let on_mod, on_ovs =
-    match !last with Some p -> p | None -> assert false
-  in
-  let speedup = if t_on > 0.0 then t_off /. t_on else 0.0 in
-  let hit_rate =
-    let hits = cache_hits + canonical_hits in
-    let looked = sat_calls + hits in
-    if looked = 0 then 0.0 else float_of_int hits /. float_of_int looked
-  in
-  let pairs =
-    on_mod.Soft.Crosscheck.o_pairs_checked + on_ovs.Soft.Crosscheck.o_pairs_checked
-  in
-  Printf.printf "%d pairs; cold per-stage: %6.2fs, warm pipeline: %6.2fs => %.2fx\n"
-    pairs t_off t_on speedup;
-  Printf.printf
-    "warm run: %d canonical hits, %d exact hits, %d SAT calls (hit rate %.3f)\n"
-    canonical_hits cache_hits sat_calls hit_rate;
-  record "canonical"
-    (J_obj
-       [
-         ("pairs_checked", J_int pairs);
-         ("disabled_time", J_num t_off);
-         ("enabled_time", J_num t_on);
-         ("speedup", J_num speedup);
-         ("canonical_hits", J_int canonical_hits);
-         ("cache_hits", J_int cache_hits);
-         ("sat_calls", J_int sat_calls);
-         ("cache_hit_rate", J_num hit_rate);
        ])
 
 (* ---------------------------------------------------------------------- *)
@@ -1272,7 +1144,6 @@ let () =
   ablation_structured_inputs ();
   ablation parallel_crosscheck;
   ablation incremental_crosscheck;
-  ablation canonical_crosscheck;
   supervised_crosscheck ();
   exploration_bench ();
   service_bench ();

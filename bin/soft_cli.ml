@@ -157,18 +157,6 @@ let no_incremental =
            are byte-identical either way; this is an escape hatch for \
            isolating solver issues and for benchmarking the amortization.")
 
-let no_canon =
-  Arg.(
-    value
-    & flag
-    & info [ "no-canon" ]
-        ~doc:
-          "Disable the solver's canonical (variable-renaming-invariant) memo \
-           layer: queries are cached on exact constraint identity only.  \
-           Verdicts and reports are byte-identical either way; this is an \
-           escape hatch for isolating cache issues and for benchmarking the \
-           canonicalization win.")
-
 let jobs =
   let jobs_conv =
     Arg.conv ~docv:"N"
@@ -196,9 +184,6 @@ let jobs =
 let apply_budget budget_ms max_conflicts =
   Smt.Solver.set_default_budget
     (Smt.Solver.budget ?max_conflicts ?timeout_ms:budget_ms ())
-
-(* worker domains inherit the flag via the crosscheck's config snapshot *)
-let apply_canon no_canon = if no_canon then Smt.Solver.set_canon false
 
 (* --- the supervision layer (watchdog + quarantine) -------------------- *)
 
@@ -501,10 +486,9 @@ let check_cmd =
              restartable in place.")
   in
   let run file_a file_b split budget_ms max_conflicts checkpoint resume jobs no_incremental
-      no_canon certify chaos_seed chaos_rate chaos_points replay record task_deadline_ms
+      certify chaos_seed chaos_rate chaos_points replay record task_deadline_ms
       max_retries backoff_ms mem_ceiling_mb =
     apply_budget budget_ms max_conflicts;
-    apply_canon no_canon;
     apply_certify certify;
     match setup_chaos ?points:chaos_points ~replay ~record chaos_seed chaos_rate with
     | Error msg ->
@@ -541,7 +525,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Phase 2: crosscheck two phase-1 runs for inconsistencies.")
     Term.(
       const run $ file_a $ file_b $ split $ budget_ms $ max_conflicts $ checkpoint $ resume
-      $ jobs $ no_incremental $ no_canon $ certify $ chaos_seed $ chaos_rate $ chaos_points
+      $ jobs $ no_incremental $ certify $ chaos_seed $ chaos_rate $ chaos_points
       $ replay_schedule_arg
       $ record_schedule_arg $ task_deadline_ms $ max_retries
       $ backoff_ms $ mem_ceiling_mb)
@@ -649,11 +633,10 @@ let compare_cmd =
     Arg.(value & flag & info [ "cases" ] ~doc:"Print a concrete reproducer per inconsistency.")
   in
   let run agent_a agent_b test cases max_paths strategy split budget_ms max_conflicts
-      deadline_ms jobs no_incremental no_canon certify validate validate_live sock_a sock_b
+      deadline_ms jobs no_incremental certify validate validate_live sock_a sock_b
       chaos_seed chaos_rate chaos_points replay record task_deadline_ms max_retries backoff_ms
       mem_ceiling_mb =
     apply_budget budget_ms max_conflicts;
-    apply_canon no_canon;
     apply_certify certify;
     let supervise = make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb in
     match
@@ -701,7 +684,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Run both phases: find inconsistencies between two agents.")
     Term.(
       const run $ agent_a $ agent_b $ test $ cases $ max_paths $ strategy $ split
-      $ budget_ms $ max_conflicts $ deadline_ms $ jobs $ no_incremental $ no_canon
+      $ budget_ms $ max_conflicts $ deadline_ms $ jobs $ no_incremental
       $ certify $ validate
       $ validate_live_flag $ live_socket_a $ live_socket_b
       $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg $ record_schedule_arg

@@ -461,39 +461,27 @@ and iter_bv ~on_bv ~on_bool e =
     iter_bv ~on_bv ~on_bool b
 
 (* Number of boolean operations in a condition: the "constraint size" metric
-   of Table 2. Each comparison and connective counts as one.  [bool_size_upto]
-   sums it over a list, each condition counting its shared subterms once,
-   and stops once [limit] operations are counted: the result is
-   [min limit (sum of bool_size)] at a cost bounded by [limit]. *)
-let bool_size_upto ~limit bs =
+   of Table 2. Each comparison and connective counts as one. *)
+let bool_size b =
+  let seen = Hashtbl.create 64 in
   let count = ref 0 in
-  let tick () =
-    incr count;
-    if !count >= limit then raise Exit
+  let rec go x =
+    if not (Hashtbl.mem seen x.bid) then begin
+      Hashtbl.add seen x.bid ();
+      (match x.bnode with
+       | True | False -> ()
+       | Cmp _ -> incr count
+       | Not a ->
+         incr count;
+         go a
+       | And (a, b) | Or (a, b) ->
+         incr count;
+         go a;
+         go b)
+    end
   in
-  let walk b =
-    let seen = Hashtbl.create 64 in
-    let rec go x =
-      if not (Hashtbl.mem seen x.bid) then begin
-        Hashtbl.add seen x.bid ();
-        match x.bnode with
-        | True | False -> ()
-        | Cmp _ -> tick ()
-        | Not a ->
-          tick ();
-          go a
-        | And (a, b) | Or (a, b) ->
-          tick ();
-          go a;
-          go b
-      end
-    in
-    go b
-  in
-  (try List.iter walk bs with Exit -> ());
-  min !count limit
-
-let bool_size b = bool_size_upto ~limit:max_int [ b ]
+  go b;
+  !count
 
 let vars_of_bool b =
   let seen = Hashtbl.create 16 in

@@ -2,11 +2,11 @@
 
    A query is a conjunction of boolean expressions.  The pipeline is:
    1. constant-level short-circuit (hash-consing already folded constants),
-   2. the interval/bit-mask pre-filter (sound UNSAT-only),
-   3. bit-blast + CDCL SAT, with model extraction on SAT.
-
-   Results are memoized on the multiset of constraint ids; this pays off
-   because path exploration re-checks shared path-condition prefixes.
+   2. the exact-key memo: an LRU over the set of constraint ids, which
+      pays off because path exploration re-checks shared path-condition
+      prefixes,
+   3. the interval/bit-mask pre-filter (sound UNSAT-only),
+   4. bit-blast + CDCL SAT, with model extraction on SAT.
 
    Every query may carry a resource budget (conflicts, decisions,
    wall-clock).  An exhausted budget yields the third outcome [Unknown],
@@ -73,10 +73,9 @@ type stats = {
   mutable scratch_fallbacks : int;
   mutable tiny_session_fallbacks : int; (* always 0, see solver.mli *)
   mutable learnt_retained : int;
+  (* the next eight are always 0, see solver.mli *)
   mutable canonical_hits : int;
   mutable canon_small_skips : int;
-  mutable canon_threshold_nodes : int;
-  (* the next six are always 0, see solver.mli *)
   mutable rows_pruned : int;
   mutable pairs_skipped_by_pruning : int;
   mutable shared_solves : int;
@@ -106,7 +105,6 @@ let fresh_stats () = {
   learnt_retained = 0;
   canonical_hits = 0;
   canon_small_skips = 0;
-  canon_threshold_nodes = 0;
   rows_pruned = 0;
   pairs_skipped_by_pruning = 0;
   shared_solves = 0;
@@ -123,9 +121,9 @@ let default_cache_capacity = 65536
 (* A bounded map with recency tracking: a hashtable over an intrusive
    doubly-linked list ordered least- to most-recently used.  [find]
    moves the entry to the back, so bounded eviction from the front
-   discards what has gone longest without a hit — canonical entries
-   that keep hitting are never swept out with a cold half, which the
-   old FIFO (insertion-order) eviction could not guarantee. *)
+   discards what has gone longest without a hit — entries that keep
+   hitting are never swept out with a cold half, which the old FIFO
+   (insertion-order) eviction could not guarantee. *)
 module Lru = struct
   type ('k, 'v) node = {
     nkey : 'k;
@@ -189,48 +187,19 @@ module Lru = struct
     done
 end
 
-(* The canonical (α-invariant) memo is an index over the exact-key
-   cache, not a second copy of it.  Entering every query into a
-   canonical-form table costs a full canonicalization per miss — two
-   digest passes over the DAG, which measured at ~0.2ms on crosscheck
-   pair queries, dwarfing the queries it might later save.  Instead:
-
-   - [c_fps] maps a cheap α-invariant fingerprint ({!Canon.fingerprint},
-     a memoized integer fold over the hash-consed DAG) to the few cached
-     queries bearing it.  A query whose fingerprint is absent provably
-     has no α-equivalent cached twin, and the miss path has paid only
-     the fingerprint — amortized O(new DAG nodes), ~free on shared
-     prefixes.
-   - Only on a fingerprint match are full canonical keys computed (and
-     memoized per exact key in [c_canon_memo]) to confirm or refute the
-     α-equivalence; the verdict is then read back out of [c_cache], so
-     the two levels can never disagree and eviction needs no
-     cross-maintenance — a candidate whose exact entry was evicted is
-     dropped from the index lazily. *)
 type ctx = {
   c_stats : stats;
   c_cache : (int list, result) Lru.t;
-  c_fps : (int, Expr.boolean list list ref) Hashtbl.t;
-  c_canon_memo : (int list, Canon.key * Canon.renaming) Hashtbl.t;
   mutable c_capacity : int;
-  mutable c_canon_on : bool;
   mutable c_certify : bool;
   mutable c_hook : unit -> unit;
   mutable c_budget : budget; (* applied to queries with no explicit [?budget] *)
 }
 
-(* Distinct cached queries sharing one fingerprint are nearly always
-   genuine α-twins (the key confirms); a longer chain means fingerprint
-   collisions, and scanning it would canonicalize every member. *)
-let max_fp_candidates = 8
-
 let create_ctx () = {
   c_stats = fresh_stats ();
   c_cache = Lru.create 4096;
-  c_fps = Hashtbl.create 4096;
-  c_canon_memo = Hashtbl.create 1024;
   c_capacity = default_cache_capacity;
-  c_canon_on = true;
   c_certify = false;
   c_hook = (fun () -> ());
   c_budget = no_budget;
@@ -266,9 +235,6 @@ let reset_stats () =
   s.assumption_solves <- 0;
   s.scratch_fallbacks <- 0;
   s.learnt_retained <- 0;
-  s.canonical_hits <- 0;
-  s.canon_small_skips <- 0;
-  s.canon_threshold_nodes <- 0;
   s.expr_nodes <- 0
 
 (* [expr_nodes] is a gauge over a single global table, not a per-domain
@@ -295,10 +261,6 @@ let merge_stats ~into:dst (src : stats) =
   dst.assumption_solves <- dst.assumption_solves + src.assumption_solves;
   dst.scratch_fallbacks <- dst.scratch_fallbacks + src.scratch_fallbacks;
   dst.learnt_retained <- dst.learnt_retained + src.learnt_retained;
-  dst.canonical_hits <- dst.canonical_hits + src.canonical_hits;
-  dst.canon_small_skips <- dst.canon_small_skips + src.canon_small_skips;
-  (* a gauge (the configured cutoff), not a counter: max, like expr_nodes *)
-  dst.canon_threshold_nodes <- max dst.canon_threshold_nodes src.canon_threshold_nodes;
   dst.expr_nodes <- max dst.expr_nodes src.expr_nodes
 
 (* --- memo cache ------------------------------------------------------- *)
@@ -307,15 +269,7 @@ let set_cache_capacity n =
   if n <= 0 then invalid_arg "Solver.set_cache_capacity: capacity must be positive";
   (ctx ()).c_capacity <- n
 
-(* Both cache levels are flushed together: the canonical index can
-   answer (some) queries without reaching the SAT core, so a caller that
-   clears "the cache" to measure cold costs — or to realign two runs'
-   query-hook draw streams — must start both levels cold. *)
-let clear_cache () =
-  let c = ctx () in
-  Lru.clear c.c_cache;
-  Hashtbl.reset c.c_fps;
-  Hashtbl.reset c.c_canon_memo
+let clear_cache () = Lru.clear (ctx ()).c_cache
 
 let cache_len () = Lru.length (ctx ()).c_cache
 
@@ -334,35 +288,6 @@ let cache_add c key r =
   Lru.add c.c_cache key r
 
 let cache_key conds = List.sort_uniq compare (List.map (fun (b : Expr.boolean) -> b.Expr.bid) conds)
-
-(* Full canonicalization, memoized by exact key so a query canonicalized
-   as a lookup probe is not re-canonicalized when it later serves as a
-   candidate (or vice versa).  Keying by the exact key is sound: the
-   canonical form depends only on the deduplicated conjunct set. *)
-let canon_of c ekey conds =
-  match Hashtbl.find_opt c.c_canon_memo ekey with
-  | Some kr -> kr
-  | None ->
-    let kr = Canon.of_conds conds in
-    if Hashtbl.length c.c_canon_memo >= c.c_capacity then Hashtbl.reset c.c_canon_memo;
-    Hashtbl.replace c.c_canon_memo ekey kr;
-    kr
-
-(* Enter a freshly decided query into the fingerprint index.  The
-   per-fingerprint chain is bounded and deduplicated by exact key; the
-   whole index is reset (not evicted — it is only an index, losing it
-   costs future canonical hits, never correctness) if it somehow
-   outgrows several times the cache capacity. *)
-let fp_register c fp key conds =
-  match Hashtbl.find_opt c.c_fps fp with
-  | Some lst ->
-    if
-      List.length !lst < max_fp_candidates
-      && not (List.exists (fun cand -> cache_key cand = key) !lst)
-    then lst := conds :: !lst
-  | None ->
-    if Hashtbl.length c.c_fps >= 4 * c.c_capacity then Hashtbl.reset c.c_fps;
-    Hashtbl.replace c.c_fps fp (ref [ conds ])
 
 (* --- certification ---------------------------------------------------- *)
 
@@ -383,12 +308,6 @@ let set_certify b =
 
 let certify_enabled () = (ctx ()).c_certify
 
-(* The canonical layer is an optimisation, not a regime: toggling it
-   never invalidates entries (they stay sound either way), so unlike
-   {!set_certify} there is nothing to flush. *)
-let set_canon b = (ctx ()).c_canon_on <- b
-let canon_enabled () = (ctx ()).c_canon_on
-
 (* Called on every query that reaches the SAT core, after the deadline is
    anchored and before the search starts.  Fault injection installs a
    closure here (scoped to the crosscheck phase) that may raise or skew
@@ -403,7 +322,6 @@ type config = {
   cfg_budget : budget;
   cfg_certify : bool;
   cfg_cache_capacity : int;
-  cfg_canon : bool;
 }
 
 let snapshot_config () =
@@ -412,14 +330,12 @@ let snapshot_config () =
     cfg_budget = c.c_budget;
     cfg_certify = c.c_certify;
     cfg_cache_capacity = c.c_capacity;
-    cfg_canon = c.c_canon_on;
   }
 
 let apply_config cfg =
   let c = ctx () in
   c.c_budget <- cfg.cfg_budget;
   c.c_capacity <- cfg.cfg_cache_capacity;
-  c.c_canon_on <- cfg.cfg_canon;
   if c.c_certify <> cfg.cfg_certify then begin
     c.c_certify <- cfg.cfg_certify;
     clear_cache ()
@@ -465,20 +381,6 @@ let run_sat ?(fire_hook = true) c budget conds =
   c.c_stats.solver_time <- c.c_stats.solver_time +. Mono.elapsed t0;
   r
 
-(* Queries below this many boolean DAG nodes skip the canonical memo
-   entirely (no fingerprint, no index registration): on a cold pipeline
-   the canonicalization machinery costs more than just solving them.
-   The default cutoff was measured on the bench workload — tiny
-   guard/equality probes sit well under it, the big pair-disagreement
-   queries well over, so the cache-hit-rate the canonical layer earns on
-   real pair queries is untouched.  Process-wide (one atomic, read by
-   every domain) so workers and caller always agree. *)
-let default_canon_threshold = 64
-
-let canon_threshold_cell = Atomic.make default_canon_threshold
-let set_canon_threshold n = Atomic.set canon_threshold_cell (max 0 n)
-let canon_threshold () = Atomic.get canon_threshold_cell
-
 (* The full frontend pipeline with a pluggable back end: [core budget conds]
    is invoked only for queries that survive constant folding, the memo
    cache and the interval filter.  [check] instantiates it with the
@@ -512,151 +414,40 @@ let check_with ?(use_interval = true) ?(use_cache = true) ?budget ~core conds =
       c.c_hook ();
       r
     | None ->
-      (* second level: the α-invariant canonical memo.  An exact-key miss
-         may still be a renaming/reassociation of a query already
-         decided.  The cheap fingerprint decides whether that is even
-         possible; full canonical forms are computed (and memoized) only
-         when it is, so the common no-twin miss pays one memoized integer
-         fold, not two digest passes over the DAG.
-
-         The lookup runs {e after} the interval filter, and a confirmed
-         hit consumes exactly the query-hook draw a fresh solve would:
-         an Unsat hit fires the hook once in place of the core's firing
-         (the hook may raise — an injected fault must land here exactly
-         as it would land on the solve the hit replaced), and a Sat hit
-         replays through the scratch core, which fires it.  Canonical
-         reuse is therefore invisible to fault injection: a --no-canon
-         run draws the same fault stream and faults on the same pairs. *)
-      (* computed once per miss, shared between the lookup probe and the
-         post-solve registration; lazy so an interval-filtered query pays
-         for it only if its result is registered *)
-      let fp = lazy (Canon.fingerprint conds) in
-      (* queries cheaper to solve than to canonicalize bypass the memo in
-         both directions (no lookup, no registration); the exact-key LRU
-         above still serves their repeats *)
-      let canon_small =
-        use_cache && c.c_canon_on
-        && begin
-          let threshold = canon_threshold () in
-          c.c_stats.canon_threshold_nodes <- threshold;
-          Expr.bool_size_upto ~limit:threshold conds < threshold
-        end
-      in
-      if canon_small then
-        c.c_stats.canon_small_skips <- c.c_stats.canon_small_skips + 1;
-      let canonical_reuse () =
-        if canon_small || not (use_cache && c.c_canon_on) then None
-        else
-          match Hashtbl.find_opt c.c_fps (Lazy.force fp) with
-          | None | Some { contents = [] } -> None
-          | Some lst ->
-            let ckey, ren = canon_of c key conds in
-            let rec try_candidates = function
-              | [] -> None
-              | cand :: rest -> (
-                let ckey_c, ren_c = canon_of c (cache_key cand) cand in
-                if ckey_c <> ckey then try_candidates rest
-                else
-                  match Lru.find c.c_cache (cache_key cand) with
-                  | None ->
-                    (* the exact entry behind this candidate was
-                       evicted; drop it from the index lazily *)
-                    lst := List.filter (fun x -> x != cand) !lst;
-                    try_candidates rest
-                  | Some entry ->
-                    if c.c_certify then begin
-                      (* certify mode never trusts a canonical hit
-                         without replay: count the hit, then fall
-                         through to the proof-checked core like any
-                         miss *)
-                      c.c_stats.canonical_hits <- c.c_stats.canonical_hits + 1;
-                      None
-                    end
-                    else begin
-                      match entry with
-                      | Unsat ->
-                        (* unsatisfiability transfers exactly across
-                           the variable bijection — no replay needed,
-                           but the replaced solve's hook draw is *)
-                        c.c_stats.canonical_hits <- c.c_stats.canonical_hits + 1;
-                        c.c_hook ();
-                        Some Unsat
-                      | Sat m ->
-                        let m' =
-                          Canon.translate_model ren (Canon.to_canonical_bindings ren_c m)
-                        in
-                        if not (Model.satisfies m' conds) then
-                          None (* defensive: treat as miss *)
-                        else begin
-                          c.c_stats.canonical_hits <- c.c_stats.canonical_hits + 1;
-                          (* the translated model proves the query Sat,
-                             but the published witness must be
-                             byte-identical to what a fresh solve would
-                             print — replay through the scratch core
-                             (whose hook firing is the one draw the
-                             replaced solve would have made) and publish
-                             its model *)
-                          match run_sat c budget conds with
-                          | Sat _ as r -> Some r
-                          | Unknown _ as r -> Some r
-                          | Unsat ->
-                            raise
-                              (Solver_error
-                                 ("canonical Sat entry refuted on replay", conds))
-                        end
-                      | Unknown _ ->
-                        (* unreachable: Unknown is never cached *)
-                        try_candidates rest
-                    end)
-            in
-            try_candidates !lst
-      in
       (* certify mode bypasses the interval filter: its Unsat answers
          carry no proof, and the whole point is never to publish one *)
       if use_interval && (not c.c_certify) && Interval.check conds = Interval.Unsat
       then begin
         c.c_stats.interval_hits <- c.c_stats.interval_hits + 1;
         c.c_stats.unsat_results <- c.c_stats.unsat_results + 1;
-        (* never cached (and never fp-registered): an interval refutation
-           consumes no query-hook draw, while a cache or canonical hit
-           consumes exactly one — the draw of the core solve it replaces.
-           Caching one would let the same query cost zero draws on the
-           domain that decided it fresh and one draw on a domain replaying
-           it from cache, making the fault-injection schedule — and hence
-           a chaos report — depend on per-domain cache warmth, i.e. on the
-           worker count.  Replaying the filter costs about what the hit
-           would, so the entry is not missed. *)
+        (* never cached: an interval refutation consumes no query-hook
+           draw, while a cache hit consumes exactly one — the draw of the
+           core solve it replaces.  Caching one would let the same query
+           cost zero draws on the domain that decided it fresh and one
+           draw on a domain replaying it from cache, making the
+           fault-injection schedule — and hence a chaos report — depend
+           on per-domain cache warmth, i.e. on the worker count.
+           Replaying the filter costs about what the hit would, so the
+           entry is not missed. *)
         Unsat
       end
       else begin
-      let r =
-        match canonical_reuse () with
-        | Some r -> r
-        | None -> core budget conds
-      in
-      (match r with
-       | Sat m ->
-         c.c_stats.sat_results <- c.c_stats.sat_results + 1;
-         (* sanity: the model must actually satisfy the query.  A raised
-            error, not an assert — asserts vanish under --release, which
-            would silently disable the check exactly when it matters. *)
-         if not (Model.satisfies m conds) then
-           raise (Solver_error ("SAT model does not satisfy the query", conds))
-       | Unsat -> c.c_stats.unsat_results <- c.c_stats.unsat_results + 1
-       | Unknown _ -> c.c_stats.unknown_results <- c.c_stats.unknown_results + 1);
-      (* never cache Unknown: it reflects this call's budget, not the query *)
-      (match r with
-       | Unknown _ -> ()
-       | Sat _ | Unsat ->
-         if use_cache then begin
-           cache_add c key r;
-           (* make this query findable by future α-variants; the full
-              canonical form stays uncomputed until a fingerprint match
-              actually asks for it *)
-           if c.c_canon_on && not canon_small then
-             fp_register c (Lazy.force fp) key conds
-         end);
-      r
+        let r = core budget conds in
+        (match r with
+         | Sat m ->
+           c.c_stats.sat_results <- c.c_stats.sat_results + 1;
+           (* sanity: the model must actually satisfy the query.  A raised
+              error, not an assert — asserts vanish under --release, which
+              would silently disable the check exactly when it matters. *)
+           if not (Model.satisfies m conds) then
+             raise (Solver_error ("SAT model does not satisfy the query", conds))
+         | Unsat -> c.c_stats.unsat_results <- c.c_stats.unsat_results + 1
+         | Unknown _ -> c.c_stats.unknown_results <- c.c_stats.unknown_results + 1);
+        (* never cache Unknown: it reflects this call's budget, not the query *)
+        (match r with
+         | Unknown _ -> ()
+         | Sat _ | Unsat -> if use_cache then cache_add c key r);
+        r
       end
 
 let check ?use_interval ?use_cache ?budget conds =
@@ -666,8 +457,9 @@ let check ?use_interval ?use_cache ?budget conds =
 
 (* A raw scratch SAT solve on the calling domain's context, bypassing the
    frontend pipeline.  [fire_hook=false] suppresses the query hook: the
-   incremental session uses this to re-derive a canonical witness without
-   consuming a fault-injection draw the scratch mode would not consume. *)
+   incremental session uses this to re-derive the witness scratch mode
+   would publish without consuming a fault-injection draw the scratch
+   mode would not consume. *)
 let solve_scratch ?fire_hook budget conds = run_sat ?fire_hook (ctx ()) budget conds
 
 let run_query_hook () = (ctx ()).c_hook ()
@@ -704,9 +496,4 @@ let pp_stats fmt () =
       s.proofs_checked;
   if s.sessions_opened > 0 then
     Format.fprintf fmt " sessions=%d assumption_solves=%d fallbacks=%d learnt_retained=%d"
-      s.sessions_opened s.assumption_solves s.scratch_fallbacks s.learnt_retained;
-  if s.canonical_hits > 0 then
-    Format.fprintf fmt " canonical_hits=%d" s.canonical_hits;
-  if s.canon_small_skips > 0 then
-    Format.fprintf fmt " canon_small_skips=%d (threshold=%d nodes)"
-      s.canon_small_skips s.canon_threshold_nodes;
+      s.sessions_opened s.assumption_solves s.scratch_fallbacks s.learnt_retained

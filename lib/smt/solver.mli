@@ -1,9 +1,9 @@
 (** Solver frontend: the STP-shaped interface the rest of SOFT uses.
 
     A query is a conjunction of boolean expressions.  The pipeline is
-    constant short-circuiting, then the sound UNSAT-only interval filter,
+    constant short-circuiting, then the exact-key memo (an LRU over the
+    set of constraint ids), then the sound UNSAT-only interval filter,
     then bit-blasting to the CDCL SAT core with model extraction.
-    Results are memoized on the multiset of constraint ids.
 
     Every query may carry a resource {!budget}; exhausting it yields the
     third outcome [Unknown], which is never cached (a later identical
@@ -74,42 +74,6 @@ val set_certify : bool -> unit
 
 val certify_enabled : unit -> bool
 
-val set_canon : bool -> unit
-(** Enable/disable the α-invariant canonical memo layer (default on) in
-    the calling domain.  On an exact-key cache miss the query's cheap
-    {!Canon.fingerprint} is probed against an index of cached queries;
-    only a fingerprint match triggers full canonicalization
-    ({!Canon.of_conds}) to confirm the α-equivalence, so the common
-    no-twin miss costs one memoized integer fold.  A confirmed hit
-    answers Unsat directly (unsatisfiability transfers across the
-    variable bijection) and pre-confirms Sat, whose witness is still
-    replayed through the scratch core so published models are
-    byte-identical to a fresh solve.  A hit consumes exactly the query-hook
-    draw the solve it replaces would have consumed (fired directly on an
-    Unsat hit, by the replay on a Sat hit), so fault-injection streams
-    stay aligned with a [--no-canon] run.  Under certify a canonical hit is
-    counted but {e never} trusted: the query falls through to the
-    proof-checked core.  Toggling flushes nothing — canonical reuse
-    stays sound either way. *)
-
-val canon_enabled : unit -> bool
-
-val default_canon_threshold : int
-(** The measured node-count cutoff below which queries skip the
-    canonical memo (64 — see [solver.ml]). *)
-
-val set_canon_threshold : int -> unit
-(** Set the cutoff: queries whose summed {!Expr.bool_size} is below it
-    bypass the canonical lookup {e and} registration (counted in
-    [canon_small_skips]; the cutoff in force is recorded in the
-    [canon_threshold_nodes] gauge).  They are cheaper to solve than to
-    canonicalize; the exact-key memo cache still serves their repeats.
-    Process-wide, not per-domain, so pool workers and their caller
-    always agree; [0] disables the skip entirely (tests targeting the
-    canonical layer with tiny queries use that). *)
-
-val canon_threshold : unit -> int
-
 val set_query_hook : (unit -> unit) -> unit
 (** Install a closure run on every query that reaches the SAT core
     (between deadline anchoring and the search).  Fault injection uses
@@ -124,7 +88,6 @@ type config = {
   cfg_budget : budget;
   cfg_certify : bool;
   cfg_cache_capacity : int;
-  cfg_canon : bool;
 }
 (** The configurable part of a domain's solver context — what a freshly
     spawned worker domain must inherit to behave like its parent. *)
@@ -162,16 +125,8 @@ type stats = {
   mutable learnt_retained : int;
       (** learnt clauses already in a session's database when an
           assumption solve started — the reuse incrementality buys *)
-  mutable canonical_hits : int;
-      (** queries answered (or, under certify, pre-confirmed) by the
-          α-invariant canonical memo after an exact-key miss *)
-  mutable canon_small_skips : int;
-      (** queries that bypassed the canonical memo (lookup and
-          registration) because their boolean DAG was smaller than the
-          node-count cutoff — cheaper to solve than to canonicalize *)
-  mutable canon_threshold_nodes : int;
-      (** gauge: the node-count cutoff in force when small queries were
-          skipped; merged with [max], not [+] *)
+  mutable canonical_hits : int;  (** always 0; kept because softbench reads it *)
+  mutable canon_small_skips : int;  (** always 0; kept because softbench reads it *)
   mutable rows_pruned : int;  (** always 0; kept because softbench reads it *)
   mutable pairs_skipped_by_pruning : int;  (** always 0; kept because softbench reads it *)
   mutable shared_solves : int;  (** always 0; kept because softbench reads it *)
@@ -207,11 +162,8 @@ val capture_expr_stats : unit -> unit
 (** {1 Memo cache} *)
 
 val clear_cache : unit -> unit
-(** Drop both memo levels — the exact-key table and the canonical
-    (α-invariant) fingerprint index.  Benchmarks use this to measure cold costs;
-    reproducibility harnesses use it to realign two runs' query streams
-    (a surviving canonical entry would let one run skip a SAT-core call,
-    and its fault-injection draw, that the other still makes). *)
+(** Drop every memo entry.  Benchmarks use this to measure cold costs;
+    reproducibility harnesses use it to realign two runs' query streams. *)
 
 val cache_len : unit -> int
 (** Entries currently in the calling domain's memo table.  The service's
@@ -219,11 +171,10 @@ val cache_len : unit -> int
     released. *)
 
 val set_cache_capacity : int -> unit
-(** Entry count at which bounded eviction triggers (default 65536, per
-    memo level); on reaching it the *colder half* of the entries
-    (least-recently-used first — a hit moves an entry to the back) is
-    discarded, keeping the hot half warm while bounding memory for
-    week-long suite runs.
+(** Entry count at which bounded eviction triggers (default 65536); on
+    reaching it the *colder half* of the entries (least-recently-used
+    first — a hit moves an entry to the back) is discarded, keeping the
+    hot half warm while bounding memory for week-long suite runs.
     @raise Invalid_argument on a non-positive capacity. *)
 
 (** {1 Queries} *)
@@ -256,8 +207,9 @@ val solve_scratch : ?fire_hook:bool -> budget -> Expr.boolean list -> result
     the calling domain's context, bypassing constant folding, the cache
     and the interval filter.  [fire_hook] (default true) controls whether
     the {!set_query_hook} closure runs; the incremental session passes
-    [false] when re-deriving a canonical witness so it does not consume a
-    fault-injection draw scratch mode would not consume. *)
+    [false] when re-deriving the witness scratch mode would publish, so it
+    does not consume a fault-injection draw scratch mode would not
+    consume. *)
 
 val run_query_hook : unit -> unit
 (** Fire the calling domain's query hook, exactly as a query reaching the

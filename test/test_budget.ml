@@ -95,18 +95,13 @@ let test_unknown_semantics () =
     let x = Expr.var ~width:16 (tag ^ ".x") and y = Expr.var ~width:16 (tag ^ ".y") in
     ([ Expr.eq (Expr.logxor x y) (c16 0) ], Expr.eq x y)
   in
-  (* distinct variables per call: the exact-key memo cache must not leak
-     the unbudgeted answer into the budgeted query.  The canonical layer
-     *would* (soundly) recognize the renamed query and prove it without
-     spending budget — which is its job — so it is switched off here:
-     this test is about budget semantics, not cache reach. *)
+  (* distinct variables per call: the memo cache must not leak the
+     unbudgeted answer into the budgeted query *)
   let pc, c = xor_entailment "bud.e1" in
   check_bool "entailment provable with no budget" true (Solver.entails pc c);
-  Solver.set_canon false;
-  Fun.protect ~finally:(fun () -> Solver.set_canon true) (fun () ->
-      let pc, c = xor_entailment "bud.e2" in
-      check_bool "entailment refused under exhausted budget" false
-        (Solver.entails ~budget:zero_decisions pc c))
+  let pc, c = xor_entailment "bud.e2" in
+  check_bool "entailment refused under exhausted budget" false
+    (Solver.entails ~budget:zero_decisions pc c)
 
 let test_unknown_not_cached () =
   let q = hard_for_zero_decisions "bud.nc" in

@@ -188,6 +188,46 @@ let test_chaos_only_grows_undecided () =
       in
       check_bool "a seed reproduces its exact outcome" true (rerun 5 = rerun 5))
 
+(* --- a sweep with the default (unbudgeted) crosscheck ------------------ *)
+
+let grouped_runs () =
+  let spec = Test_spec.packet_out () in
+  let run_a = Runner.execute ~max_paths:60 Switches.Reference_switch.agent spec in
+  let run_b = Runner.execute ~max_paths:60 Switches.Modified_switch.agent spec in
+  (Soft.Grouping.of_run run_a, Soft.Grouping.of_run run_b)
+
+let test_chaos_sweep_only_degrades () =
+  (* faults injected into the pairwise solves may cost verdicts, never
+     invent them: every inconsistency reported under
+     chaos exists in the clean run, and anything lost shows up as
+     undecided *)
+  with_clean_world (fun () ->
+      Solver.set_certify false;
+      let a, b = grouped_runs () in
+      Solver.clear_cache ();
+      let clean = Soft.Crosscheck.check ~jobs:1 a b in
+      let clean_keys = inc_keys clean in
+      check_bool "clean run finds inconsistencies" true (Soft.Crosscheck.count clean > 0);
+      for seed = 1 to 8 do
+        Solver.clear_cache ();
+        Mono.reset_skew ();
+        Chaos.install (Chaos.plan ~seed ~rate:0.3 ());
+        let chaotic = Soft.Crosscheck.check ~jobs:1 a b in
+        Chaos.deactivate ();
+        Mono.reset_skew ();
+        let msg s = Printf.sprintf "chaos seed %d: %s" seed s in
+        List.iter
+          (fun k ->
+            check_bool (msg "no inconsistency is invented under chaos") true
+              (List.mem k clean_keys))
+          (inc_keys chaotic);
+        check_bool (msg "lost verdicts degrade to undecided, never vanish") true
+          (Soft.Crosscheck.count clean - Soft.Crosscheck.count chaotic
+          <= Soft.Crosscheck.undecided_count chaotic);
+        check_int (msg "the pair matrix is fully accounted")
+          clean.Soft.Crosscheck.o_pairs_checked chaotic.Soft.Crosscheck.o_pairs_checked
+      done)
+
 (* --- checkpoint truncation under chaos heals via cold start ----------- *)
 
 let test_truncated_chaos_checkpoint_heals () =
@@ -230,4 +270,6 @@ let suite =
     ("agent-step fault aborts the run loudly", `Quick, test_agent_step_fault_aborts_run);
     ("chaos only grows undecided (8 seeds)", `Quick, test_chaos_only_grows_undecided);
     ("truncated chaos checkpoint heals cold", `Quick, test_truncated_chaos_checkpoint_heals);
+    ("chaos sweep over the crosscheck only grows undecided", `Quick,
+     test_chaos_sweep_only_degrades);
   ]

@@ -108,19 +108,6 @@ let test_bool_size () =
   (* shared subterms counted once *)
   check_int "shared subterm" 3 (Expr.bool_size (Expr.or_ (Expr.and_ p q) Expr.fls |> fun e -> Expr.and_ e (Expr.and_ p q)))
 
-(* the canonical memo's size probe: capped sum, and the same cutoff answer
-   as summing [bool_size] in full, at every limit including 0 *)
-let prop_bool_size_upto =
-  QCheck2.Test.make ~name:"bool_size_upto is the capped sum of bool_size" ~count:300
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 6) (Gen.width_gen >>= fun w -> Gen.bool_gen w))
-        (int_range 0 100))
-    (fun (bs, n) ->
-      let sum = List.fold_left (fun acc b -> acc + Expr.bool_size b) 0 bs in
-      Expr.bool_size_upto ~limit:n bs = min n sum
-      && (Expr.bool_size_upto ~limit:n bs < n) = (sum < n))
-
 let test_vars_of () =
   let p = Expr.and_ (Expr.ult x16 y16) (Expr.eq x16 (c 16 1L)) in
   let names = List.map Expr.var_name (Expr.vars_of_bool p) in
@@ -216,7 +203,6 @@ let suite =
     Alcotest.test_case "vars_of_bool" `Quick test_vars_of;
     Alcotest.test_case "balanced or/and trees" `Quick test_balanced_trees;
     Alcotest.test_case "evaluation" `Quick test_eval;
-    QCheck_alcotest.to_alcotest prop_bool_size_upto;
     QCheck_alcotest.to_alcotest prop_binop_semantics;
     QCheck_alcotest.to_alcotest prop_mask_norm;
     QCheck_alcotest.to_alcotest prop_not_involutive;

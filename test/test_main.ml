@@ -31,7 +31,6 @@ let () =
       ("chaos", Test_chaos.suite);
       ("parallel", Test_parallel.suite);
       ("incremental", Test_incremental.suite);
-      ("canon", Test_canon.suite);
       ("supervise", Test_supervise.suite);
       ("live", Test_live.suite);
       ("service", Test_service.suite);

@@ -360,39 +360,72 @@ let test_compare_suite_failure_attribution () =
       check_int "one failure per test" 1 (List.length seq);
       check_bool "concurrent failure attribution matches sequential" true (seq = par))
 
-(* An interval-refutable query consumes no query-hook draw, and must keep
-   consuming none on every repeat: caching its Unsat would turn later
-   occurrences into cache hits, which fire the hook once (the draw of the
-   core solve a hit normally replaces).  The same query would then cost
-   zero draws on a domain that filtered it fresh and one draw on a domain
-   replaying it from cache — and cache warmth differs by worker count,
-   which is exactly the dependence the chaos byte-identity gate forbids.
-   (Caught live: pairs flipping between the interval filter and the warm
-   cache across [-j] shifted the keyed fault schedule.) *)
+(* Chaos reports are byte-identical across [-j] only because every answer
+   source consumes exactly the query-hook draws of the solve it stands
+   for, whatever the per-domain cache warmth.  One row per source: the
+   layer that must answer (its counter rises by one per query), the
+   draws it may take, and the answers.
+
+   An interval-refutable query consumes no draw, and must keep consuming
+   none on every repeat: caching its Unsat would turn later occurrences
+   into cache hits, which fire the hook once (the draw of the core solve
+   a hit normally replaces).  The same query would then cost zero draws
+   on a domain that filtered it fresh and one draw on a domain replaying
+   it from cache — and cache warmth differs by worker count, which is
+   exactly the dependence the chaos byte-identity gate forbids.  (Caught
+   live: pairs flipping between the interval filter and the warm cache
+   across [-j] shifted the keyed fault schedule.) *)
 let test_interval_refutation_uncached () =
   with_clean_world (fun () ->
-      let x = Expr.var ~width:8 "par.iv" in
-      let contradiction =
-        [ Expr.ult x (Expr.const ~width:8 5L); Expr.uge x (Expr.const ~width:8 10L) ]
+      let c8 n = Expr.const ~width:8 n in
+      let x = Expr.var ~width:8 "par.hd.x" and y = Expr.var ~width:8 "par.hd.y" in
+      let z = Expr.var ~width:8 "par.hd.z" in
+      let sat_q = [ Expr.eq x (c8 3L) ] in
+      (* x xor y = 0 forces x = y: Unsat, but beyond the interval domain *)
+      let xor_eq = Expr.eq (Expr.logxor x y) (c8 0L) in
+      let unsat_q = [ xor_eq; Expr.not_ (Expr.eq x y) ] in
+      let interval_q = [ Expr.ult z (c8 5L); Expr.uge z (c8 10L) ] in
+      let base = [ Expr.ult x y ] in
+      let in_session extra () = Session.check (Session.create base) (base @ extra) in
+      let scratch q () = Solver.check q in
+      let sat = function Solver.Sat _ -> true | Solver.Unsat | Solver.Unknown _ -> false in
+      let unsat = function Solver.Unsat -> true | Solver.Sat _ | Solver.Unknown _ -> false in
+      let rows =
+        [
+          ( "constant-folded", (fun s -> s.Solver.const_hits), 0, [],
+            [ (scratch [ Expr.fls ], unsat); (scratch [ Expr.tru ], sat) ] );
+          ( "interval refutation, also on repeat", (fun s -> s.Solver.interval_hits), 0, [],
+            [ (scratch interval_q, unsat); (scratch interval_q, unsat) ] );
+          ( "fresh scratch Sat", (fun s -> s.Solver.sat_calls), 1, [],
+            [ (scratch sat_q, sat) ] );
+          ( "fresh scratch Unsat", (fun s -> s.Solver.sat_calls), 1, [],
+            [ (scratch unsat_q, unsat) ] );
+          ( "exact-cache hit", (fun s -> s.Solver.cache_hits), 1, [ sat_q ],
+            [ (scratch sat_q, sat) ] );
+          ( "session assumption Unsat", (fun s -> s.Solver.assumption_solves), 1, [],
+            [ (in_session [ xor_eq ], unsat) ] );
+          ( "session Sat, hook-suppressed confirm", (fun s -> s.Solver.assumption_solves), 1,
+            [], [ (in_session sat_q, sat) ] );
+        ]
       in
       let st = Solver.stats () in
-      let iv0 = st.Solver.interval_hits and ch0 = st.Solver.cache_hits in
-      let draws = ref 0 in
-      Solver.set_query_hook (fun () -> incr draws);
-      Fun.protect
-        ~finally:(fun () -> Solver.set_query_hook (fun () -> ()))
-        (fun () ->
-          (match Solver.check contradiction with
-           | Solver.Unsat -> ()
-           | _ -> Alcotest.fail "interval contradiction not refuted");
-          match Solver.check contradiction with
-          | Solver.Unsat -> ()
-          | _ -> Alcotest.fail "interval contradiction not refuted on repeat");
-      check_int "both occurrences answered by the interval filter"
-        (iv0 + 2) st.Solver.interval_hits;
-      check_int "interval refutations never enter the cache" ch0
-        st.Solver.cache_hits;
-      check_int "an interval refutation consumes no query-hook draw" 0 !draws)
+      List.iter
+        (fun (label, layer, draws_per_query, warm, queries) ->
+          Solver.clear_cache ();
+          List.iter (fun q -> ignore (Solver.check q)) warm;
+          let layer0 = layer st and draws = ref 0 in
+          Solver.set_query_hook (fun () -> incr draws);
+          Fun.protect
+            ~finally:(fun () -> Solver.set_query_hook (fun () -> ()))
+            (fun () ->
+              List.iter
+                (fun (query, expected) ->
+                  check_bool (label ^ ": answer") true (expected (query ())))
+                queries);
+          let n = List.length queries in
+          check_int (label ^ ": answered by its layer") (layer0 + n) (layer st);
+          check_int (label ^ ": query-hook draws") (draws_per_query * n) !draws)
+        rows)
 
 let suite =
   [
@@ -409,7 +442,8 @@ let suite =
     ("parallel checkpoint/resume", `Quick, test_parallel_checkpoint_resume);
     ("chaos invariant holds at -j4 (8 seeds)", `Quick, test_chaos_invariant_at_j4);
     ("row sessions: -j parity (default/chaos/certify)", `Quick, test_row_session_parity);
-    ("interval refutations bypass the cache", `Quick, test_interval_refutation_uncached);
+    ("interval refutations bypass the cache; hook draws per answer source", `Quick,
+     test_interval_refutation_uncached);
     ("compare_suite equal at -j1 and -j4", `Quick, test_compare_suite_jobs_equivalent);
     ("suite failure attribution under -j4", `Quick, test_compare_suite_failure_attribution);
   ]
