@@ -333,7 +333,7 @@ let chaos_points =
     & info [ "chaos-points" ] ~docv:"POINT,POINT,..."
         ~doc:
           "Restrict --chaos-seed to these injection points (e.g. \
-           torn-frame,conn-reset,read-stall for the live-wire transport \
+           torn-write,fsync-fail,rename-crash for the service durability \
            sweep).  A masked point never fires and never draws, so the \
            other points' schedules are unchanged.")
 
@@ -530,95 +530,6 @@ let check_cmd =
       $ record_schedule_arg $ task_deadline_ms $ max_retries
       $ backoff_ms $ mem_ceiling_mb)
 
-(* --- live validation (compare --validate-live) ------------------------ *)
-
-(* The spawn template names agents by their CLI keys; recover the key an
-   Agent_intf.t was looked up under (the assoc list shares values). *)
-let cli_name_of_agent a =
-  match List.find_opt (fun (_, v) -> v == a) agents with
-  | Some (name, _) -> name
-  | None -> Switches.Agent_intf.name a
-
-let replace_all ~sub ~by s =
-  let slen = String.length sub in
-  let buf = Buffer.create (String.length s) in
-  let rec go i =
-    if i > String.length s - slen then Buffer.add_substring buf s i (String.length s - i)
-    else if String.sub s i slen = sub then begin
-      Buffer.add_string buf by;
-      go (i + slen)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  if slen = 0 then s
-  else begin
-    go 0;
-    Buffer.contents buf
-  end
-
-let validate_live_flag =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "validate-live" ] ~docv:"CMD"
-        ~doc:
-          "Replay every found inconsistency against two live switch processes \
-           spawned from $(docv), with $(b,{agent}) and $(b,{socket}) \
-           substituted per endpoint (e.g. 'soft switch-serve --agent {agent} \
-           --socket {socket}').  Transport and process failures degrade the \
-           affected witnesses to transport-failed instead of aborting; a \
-           live-confirmed divergence exits 1, an inconclusive live pass 3.")
-
-let live_socket_a =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "live-socket-a" ] ~docv:"ADDR"
-        ~doc:
-          "Validate against an already-running live switch for agent A at \
-           $(docv) (unix:PATH or HOST:PORT) instead of spawning one; requires \
-           --live-socket-b.")
-
-let live_socket_b =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "live-socket-b" ] ~docv:"ADDR"
-        ~doc:"Live switch address for agent B; see --live-socket-a.")
-
-(* Decide the two live endpoints, or None when live validation is off.
-   Errors here are usage errors (exit 2). *)
-let live_endpoints ~cmd_template ~sock_a ~sock_b ~agent_a ~agent_b =
-  let addr s = Openflow.Conn.addr_of_string s in
-  match (cmd_template, sock_a, sock_b) with
-  | None, None, None -> Ok None
-  | _, Some a, Some b ->
-    Ok
-      (Some
-         ( { Soft.Live.ep_agent = cli_name_of_agent agent_a; ep_addr = addr a; ep_cmd = None },
-           { Soft.Live.ep_agent = cli_name_of_agent agent_b; ep_addr = addr b; ep_cmd = None } ))
-  | _, Some _, None | _, None, Some _ ->
-    Error "--live-socket-a and --live-socket-b must be given together"
-  | Some tmpl, None, None ->
-    let endpoint tag agent =
-      let name = cli_name_of_agent agent in
-      let sock =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "soft-live-%d-%s.sock" (Unix.getpid ()) tag)
-      in
-      {
-        Soft.Live.ep_agent = name;
-        ep_addr = Openflow.Conn.Unix_sock sock;
-        ep_cmd =
-          Some (replace_all ~sub:"{socket}" ~by:("unix:" ^ sock)
-                  (replace_all ~sub:"{agent}" ~by:name tmpl));
-      }
-    in
-    Ok (Some (endpoint "a" agent_a, endpoint "b" agent_b))
-
 (* --- compare --------------------------------------------------------- *)
 
 let compare_cmd =
@@ -632,23 +543,29 @@ let compare_cmd =
   let cases =
     Arg.(value & flag & info [ "cases" ] ~doc:"Print a concrete reproducer per inconsistency.")
   in
+  let validate_reproducers =
+    Arg.(
+      value & flag
+      & info [ "validate-reproducers" ]
+          ~doc:
+            "Replay every found inconsistency on its concrete reproducer (the \
+             bytes $(b,--cases) prints, decoded back into constant inputs) \
+             through both agents and compare their traces.  The verdicts \
+             decide the exit status: a confirmed inconsistency exits 1, a \
+             refuted or unreplayable-only report 3.")
+  in
   let run agent_a agent_b test cases max_paths strategy split budget_ms max_conflicts
-      deadline_ms jobs no_incremental certify validate validate_live sock_a sock_b
+      deadline_ms jobs no_incremental certify validate validate_reproducers
       chaos_seed chaos_rate chaos_points replay record task_deadline_ms max_retries backoff_ms
       mem_ceiling_mb =
     apply_budget budget_ms max_conflicts;
     apply_certify certify;
     let supervise = make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb in
-    match
-      match setup_chaos ?points:chaos_points ~replay ~record chaos_seed chaos_rate with
-      | Error _ as e -> e
-      | Ok () ->
-        live_endpoints ~cmd_template:validate_live ~sock_a ~sock_b ~agent_a ~agent_b
-    with
-    | Error msg | (exception Invalid_argument msg) ->
+    match setup_chaos ?points:chaos_points ~replay ~record chaos_seed chaos_rate with
+    | Error msg ->
       Format.eprintf "soft: %s@." msg;
       2
-    | Ok live -> (
+    | Ok () -> (
       match
         Soft.Pipeline.compare_agents ~max_paths ~strategy ?deadline_ms ?split ~jobs
           ~incremental:(not no_incremental) ?supervise ~validate agent_a agent_b test
@@ -659,18 +576,19 @@ let compare_cmd =
           List.iteri
             (fun i tc -> Format.printf "@.=== reproducer %d ===@.%a@." i Soft.Testcase.pp tc)
             (Soft.Pipeline.test_cases c);
-        let base =
-          Soft.Report.exit_status ?validation:c.Soft.Pipeline.c_validation
-            c.Soft.Pipeline.c_outcome
+        (* reproducer verdicts, when asked for, outrank --validate's *)
+        let validation =
+          if validate_reproducers then begin
+            let v =
+              Soft.Validate.validate_reproducers agent_a agent_b c.Soft.Pipeline.c_test
+                c.Soft.Pipeline.c_outcome
+            in
+            Format.printf "%a@." (Soft.Validate.pp_titled "reproducer validation") v;
+            Some v
+          end
+          else c.Soft.Pipeline.c_validation
         in
-        let code =
-          match live with
-          | None -> base
-          | Some (ep_a, ep_b) ->
-            let summary = Soft.Live.validate_live ~a:ep_a ~b:ep_b test c.Soft.Pipeline.c_outcome in
-            Format.printf "%a@." Soft.Live.pp summary;
-            Soft.Live.merge_exit base (Soft.Live.exit_status summary)
-        in
+        let code = Soft.Report.exit_status ?validation c.Soft.Pipeline.c_outcome in
         chaos_report ();
         save_recorded
           ~meta:[ ("cmd", "compare"); ("workload", test.Harness.Test_spec.id) ]
@@ -685,8 +603,7 @@ let compare_cmd =
     Term.(
       const run $ agent_a $ agent_b $ test $ cases $ max_paths $ strategy $ split
       $ budget_ms $ max_conflicts $ deadline_ms $ jobs $ no_incremental
-      $ certify $ validate
-      $ validate_live_flag $ live_socket_a $ live_socket_b
+      $ certify $ validate $ validate_reproducers
       $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg $ record_schedule_arg
       $ task_deadline_ms $ max_retries
       $ backoff_ms $ mem_ceiling_mb)
@@ -1046,68 +963,6 @@ let status_cmd =
        ~doc:"Read-only service snapshot (works with or without a daemon running).")
     Term.(const run $ service_dir)
 
-(* --- switch-serve (the loopback live switch) -------------------------- *)
-
-let switch_serve_cmd =
-  let agent =
-    Arg.(
-      required & opt (some agent_conv) None & info [ "agent" ] ~doc:"Agent model to serve.")
-  in
-  let socket =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"ADDR"
-          ~doc:"Address to listen on: unix:PATH, a bare socket path, or HOST:PORT.")
-  in
-  let crash_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "crash-after" ] ~docv:"N"
-          ~doc:
-            "SIGKILL this server after N served barriers — the CI lever for \
-             killing the switch mid-replay.")
-  in
-  let max_conns =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Serve N connections, then exit cleanly (default: serve forever).")
-  in
-  let idle_ms =
-    Arg.(
-      value
-      & opt int 30_000
-      & info [ "idle-ms" ] ~docv:"MS"
-          ~doc:"Per-connection receive deadline; a silent peer is dropped (default 30000).")
-  in
-  let run agent socket crash_after max_conns idle_ms max_paths chaos_seed chaos_rate
-      chaos_points =
-    apply_chaos ?points:chaos_points chaos_seed chaos_rate;
-    match Openflow.Conn.addr_of_string socket with
-    | addr ->
-      Soft.Live.serve ~max_paths ?crash_after_barriers:crash_after ?max_conns
-        ~idle_deadline_ms:idle_ms
-        ~on_listening:(fun () ->
-          Format.printf "switch-serve: %s listening on %s@."
-            (Switches.Agent_intf.name agent) socket)
-        agent addr;
-      0
-    | exception Invalid_argument msg ->
-      Format.eprintf "soft: %s@." msg;
-      2
-  in
-  Cmd.v
-    (Cmd.info "switch-serve"
-       ~doc:
-         "Serve an agent model as a live switch process speaking OpenFlow 1.0 \
-          over a socket — the loopback peer for compare --validate-live.")
-    Term.(
-      const run $ agent $ socket $ crash_after $ max_conns $ idle_ms $ max_paths
-      $ chaos_seed $ chaos_rate $ chaos_points)
-
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -1137,7 +992,6 @@ let main =
       serve_cmd;
       submit_cmd;
       status_cmd;
-      switch_serve_cmd;
       list_cmd;
     ]
 

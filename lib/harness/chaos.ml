@@ -44,9 +44,6 @@ type point =
   | Torn_write
   | Fsync_fail
   | Rename_crash
-  | Torn_frame
-  | Conn_reset
-  | Read_stall
 
 let point_name = function
   | Solver_fault -> "solver-fault"
@@ -57,11 +54,8 @@ let point_name = function
   | Torn_write -> "torn-write"
   | Fsync_fail -> "fsync-fail"
   | Rename_crash -> "rename-crash"
-  | Torn_frame -> "torn-frame"
-  | Conn_reset -> "conn-reset"
-  | Read_stall -> "read-stall"
 
-let npoints = 11
+let npoints = 8
 
 let point_index = function
   | Solver_fault -> 0
@@ -72,9 +66,6 @@ let point_index = function
   | Torn_write -> 5
   | Fsync_fail -> 6
   | Rename_crash -> 7
-  | Torn_frame -> 8
-  | Conn_reset -> 9
-  | Read_stall -> 10
 
 let all_points =
   [
@@ -86,21 +77,10 @@ let all_points =
     Torn_write;
     Fsync_fail;
     Rename_crash;
-    Torn_frame;
-    Conn_reset;
-    Read_stall;
   ]
 
 let point_of_name s =
   List.find_opt (fun pt -> point_name pt = s) all_points
-
-(* The transport points are drawn by the live-wire connection layer
-   ({!Openflow.Conn}), which turns each firing into the corresponding
-   contained transport failure — a frame cut mid-write, a reset socket, a
-   read that outlives its deadline.  They never raise {!Injected_fault}
-   themselves: the invariant under test is that the transport layer
-   classifies and degrades them like the real network events they model. *)
-let transport_points = [ Torn_frame; Conn_reset; Read_stall ]
 
 type draw = { d_point : point; d_key : int option; d_index : int; d_fired : bool }
 

@@ -40,15 +40,6 @@ type point =
       (** the process dies right after an atomic rename published a store
           write or a WAL rewrite — the new file is visible, none of the
           writer's post-publish bookkeeping happened *)
-  | Torn_frame
-      (** a live-wire send cuts the frame mid-write and loses the socket —
-          the peer sees a truncated OpenFlow message followed by EOF *)
-  | Conn_reset
-      (** the live-wire socket resets under the caller, as if the peer
-          closed or the network dropped the connection *)
-  | Read_stall
-      (** a live-wire receive stalls past its deadline: the peer is alive
-          at TCP level but stops sending bytes *)
 
 val point_name : point -> string
 val all_points : point list
@@ -56,13 +47,6 @@ val all_points : point list
 val point_of_name : string -> point option
 (** Inverse of {!point_name} — lets the CLI's [--chaos-points] flag name
     the points of an [?only] mask. *)
-
-val transport_points : point list
-(** The live-wire transport faults ([Torn_frame]; [Conn_reset];
-    [Read_stall]).  Unlike the durability points these never raise
-    {!Injected_fault}: {!Openflow.Conn} draws them and surfaces each as
-    the contained transport failure it models, so the invariant under
-    test is degrade-to-transport-failed, not abort. *)
 
 type plan
 

@@ -482,12 +482,13 @@ let concretize_wire model (m : t) =
   String.init (Array.length bytes) (fun i ->
       Char.chr (Int64.to_int (Model.eval_bv model bytes.(i)) land 0xff))
 
-(* --- lenient wire decoder (live replay) ---------------------------------- *)
+(* --- lenient wire decoder (reproducer replay) ---------------------------- *)
 
 (* [of_wire] inverts [to_sym_bytes] over *concrete* reproducer bytes: every
    field comes back as a constant expression, laid out exactly as push_body
-   wrote it, so a live switch process can rebuild the structured input an
-   in-process replay would have seen and drive the same agent code.
+   wrote it, so reproducer validation can rebuild the structured input a
+   switch would parse from the bytes [--cases] prints and drive the agent
+   code on it.
 
    The decoder is deliberately lenient where reproducers are deliberately
    broken: the claimed length may disagree with the physical byte count
@@ -502,8 +503,8 @@ let concretize_wire model (m : t) =
    the alias the way a real switch would (port_no and queue_port from the
    first post-flags bytes, queue_id from bytes 8..11 of that region), so a
    witness whose model gives the aliased variables contradictory values
-   replays differently live.  The live layer reports such drift as a
-   verdict difference rather than hiding it. *)
+   replays differently from its bytes.  Reproducer validation reports such
+   drift as a verdict difference rather than hiding it. *)
 
 exception Of_wire_error of string
 

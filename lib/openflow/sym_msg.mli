@@ -176,6 +176,7 @@ val of_wire : string -> t
     agents' raw-fallback path dispatches on in process.  A stats
     request's port/queue-view fields are resolved from the wire bytes
     they alias (a real switch cannot see the independent variables the
-    symbolic form carries); see the implementation note.  The live switch
-    server uses this to rebuild the structured input a replay drives.
+    symbolic form carries); see the implementation note.  Reproducer
+    validation uses this to rebuild the input a replay drives from the
+    bytes alone.
     @raise Of_wire_error when shorter than a header. *)

@@ -57,7 +57,15 @@ let test_point_streams_independent () =
             | exception Chaos.Injected_fault _ -> true)
       in
       check_bool "solver-fault schedule unshifted by agent-step draws" true
-        (solo = interleaved))
+        (solo = interleaved);
+      (* the eight points are exactly the names --chaos-points accepts *)
+      check_int "eight points" 8 (List.length Chaos.all_points);
+      List.iter
+        (fun pt ->
+          check_bool (Chaos.point_name pt) true
+            (Chaos.point_of_name (Chaos.point_name pt) = Some pt))
+        Chaos.all_points;
+      check_bool "no torn-frame point" true (Chaos.point_of_name "torn-frame" = None))
 
 let test_rate_bounds () =
   Alcotest.check_raises "rate above 1 rejected"

@@ -32,7 +32,6 @@ let () =
       ("parallel", Test_parallel.suite);
       ("incremental", Test_incremental.suite);
       ("supervise", Test_supervise.suite);
-      ("live", Test_live.suite);
       ("service", Test_service.suite);
       ("explore", Test_explore.suite);
     ]

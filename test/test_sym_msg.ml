@@ -140,6 +140,38 @@ let test_concretized_message_parses () =
   | Openflow.Types.Echo_request "hi" -> ()
   | _ -> Alcotest.fail "expected echo request with payload \"hi\""
 
+(* [of_wire] inverts concretization: decoding a message's reproducer bytes
+   and concretizing the (all-constant) result gives the same bytes back,
+   for the symbolic Table-1 messages under arbitrary models — claimed
+   lengths, action headers and stats types included, so malformed and
+   raw-fallback layouts are exercised too. *)
+let wire_messages =
+  List.map
+    (fun (spec : Harness.Test_spec.t) ->
+      match spec.Harness.Test_spec.inputs with
+      | Harness.Test_spec.Msg m :: _ -> (spec.Harness.Test_spec.id, m)
+      | _ -> Alcotest.failf "%s: first input is not a message" spec.Harness.Test_spec.id)
+    Harness.Test_spec.[ packet_out (); flow_mod (); stats_request (); set_config (); short_symb () ]
+
+let message_vars m =
+  List.sort_uniq compare
+    (Array.fold_left (fun acc b -> Expr.vars_of_bv b @ acc) [] (Sym_msg.to_sym_bytes m))
+
+let reproducer_gen =
+  let open QCheck2.Gen in
+  let* id, m = oneofl wire_messages in
+  let vars = message_vars m in
+  let+ values = flatten_l (List.map (fun v -> Gen.value_for_width (Expr.var_width v)) vars) in
+  (id, m, Model.of_bindings (List.combine vars values))
+
+let prop_of_wire_roundtrip =
+  QCheck2.Test.make ~name:"of_wire inverts concretize_wire" ~count:500
+    ~print:(fun (id, m, model) -> Printf.sprintf "%s: %S" id (concretize model m))
+    reproducer_gen
+    (fun (_, m, model) ->
+      let bytes = concretize model m in
+      concretize (Model.empty ()) (Sym_msg.of_wire bytes) = bytes)
+
 let test_eth_match_forces_non_eth_wildcards () =
   let m = Sym_msg.sym_match_eth ~prefix:"tem" () in
   (* whatever the symbolic wildcard variable is, non-Ethernet fields are
@@ -158,6 +190,7 @@ let test_eth_match_forces_non_eth_wildcards () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_flow_mod_layout_agrees;
+    QCheck_alcotest.to_alcotest prop_of_wire_roundtrip;
     Alcotest.test_case "packet out layout" `Quick test_packet_out_layout;
     Alcotest.test_case "symbolic action structure" `Quick test_symbolic_action_is_structured;
     Alcotest.test_case "body views big-endian" `Quick test_body_views_are_big_endian;

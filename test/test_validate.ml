@@ -2,7 +2,9 @@
    modified switches is replay-confirmed, a fabricated inconsistency
    between identical agents is refuted, a crashing agent yields
    replay-failed — and the exit-status policy maps all of it to the
-   documented codes. *)
+   documented codes.  Reproducer validation (the concrete bytes, decoded
+   back) gives the same verdicts here and is stricter where symbolic
+   trace keys differ only syntactically. *)
 
 module Runner = Harness.Runner
 module Test_spec = Harness.Test_spec
@@ -59,6 +61,30 @@ let test_fabricated_inconsistency_refuted () =
     check_bool "identical agents replay identically" true
       (Trace.result_key ta = Trace.result_key tb)
   | _ -> Alcotest.fail "refuted result lacks a replay trace"
+
+(* --- reproducer validation: the concrete bytes, decoded back ---------- *)
+
+let reproducers b =
+  let c = Lazy.force cmp in
+  Soft.Validate.validate_reproducers ref_agent b c.Soft.Pipeline.c_test
+    c.Soft.Pipeline.c_outcome
+
+let test_reproducers_confirm_real_findings () =
+  (* replaying the concrete reproducer bytes confirms every finding of the
+     small run, as symbolic replay does *)
+  let c = Lazy.force cmp in
+  let r = reproducers mod_agent in
+  check_int "every reproducer confirmed" (Soft.Pipeline.inconsistency_count c)
+    r.Soft.Validate.vs_confirmed;
+  check_bool "no reproducer refuted or failed" true (Soft.Validate.all_confirmed r)
+
+let test_reproducers_refute_identical_agents () =
+  (* the reference against itself: every reproducer is refuted *)
+  let c = Lazy.force cmp in
+  let v = reproducers ref_agent in
+  check_int "no reproducer confirmed" 0 v.Soft.Validate.vs_confirmed;
+  check_int "every reproducer refuted" (Soft.Pipeline.inconsistency_count c)
+    v.Soft.Validate.vs_refuted
 
 (* An agent whose crash is engine-fatal (an ordinary exception would be
    isolated into a crash *trace*, which is still replayable behavior):
@@ -148,6 +174,15 @@ let test_exit_status () =
        ~validation:(summary ~confirmed:1 ~refuted:0 ~failed:1)
        (outcome ~incs:[ some_inc () ] ~undecided:[ ("A", "B") ] ()))
 
+(* reproducer verdicts rank a real run's exit the way --validate does:
+   confirmed findings exit 1, a refuted-only pass downgrades them to 3 *)
+let test_reproducers_exit_status () =
+  let c = Lazy.force cmp in
+  check_int "confirmed reproducers exit 1" 1
+    (Soft.Report.exit_status ~validation:(reproducers mod_agent) c.Soft.Pipeline.c_outcome);
+  check_int "refuted reproducers exit 3" 3
+    (Soft.Report.exit_status ~validation:(reproducers ref_agent) c.Soft.Pipeline.c_outcome)
+
 (* Replay must select exactly the recorded behavior: running either agent
    on any inconsistency's witness lands on the path whose normalized trace
    the crosscheck reported for that agent. *)
@@ -205,6 +240,35 @@ let test_replay_reproduces_every_path () =
         run.Runner.run_paths)
     [ (ref_agent, c.Soft.Pipeline.c_run_a); (mod_agent, c.Soft.Pipeline.c_run_b) ]
 
+(* The precision gap between the two replays: ref vs modified on Set
+   Config has two findings whose symbolic replay keys differ, but one of
+   them differs only in how a value is written — on its concrete
+   reproducer both agents send the same packet-in, and reproducer replay
+   refutes it. *)
+let test_reproducers_refute_syntactic_findings () =
+  let spec = Test_spec.set_config () in
+  let c = Soft.Pipeline.compare_agents ~max_paths:100 ref_agent mod_agent spec in
+  let o = c.Soft.Pipeline.c_outcome in
+  check_int "two findings" 2 (Soft.Pipeline.inconsistency_count c);
+  let symbolic = Soft.Validate.validate ref_agent mod_agent spec o in
+  let concrete = Soft.Validate.validate_reproducers ref_agent mod_agent spec o in
+  check_int "symbolic replay confirms both" 2 symbolic.Soft.Validate.vs_confirmed;
+  check_int "reproducer replay refutes one" 1 concrete.Soft.Validate.vs_refuted;
+  check_int "and confirms the other" 1 concrete.Soft.Validate.vs_confirmed;
+  let keys (r : Soft.Validate.result) =
+    match (r.Soft.Validate.v_replay_a, r.Soft.Validate.v_replay_b) with
+    | Some ta, Some tb -> (Trace.result_key ta, Trace.result_key tb)
+    | _ -> Alcotest.fail "a replay reached no trace"
+  in
+  List.iter2
+    (fun s (r : Soft.Validate.result) ->
+      if r.Soft.Validate.v_status = Soft.Validate.Refuted then begin
+        let sa, sb = keys s and ca, cb = keys r in
+        check_bool "symbolic keys differ" true (sa <> sb);
+        check_bool "concrete keys agree" true (ca = cb)
+      end)
+    symbolic.Soft.Validate.vs_results concrete.Soft.Validate.vs_results
+
 let suite =
   [
     ("real inconsistencies are replay-confirmed", `Quick, test_real_inconsistencies_confirmed);
@@ -214,4 +278,8 @@ let suite =
     ("replay pins the witness concretely", `Quick, test_replay_is_concrete);
     ("validation makes no solver queries", `Quick, test_validation_is_solver_free);
     ("replay reproduces every phase-1 path", `Quick, test_replay_reproduces_every_path);
+    ("reproducers confirm real findings", `Quick, test_reproducers_confirm_real_findings);
+    ("reproducers refute identical agents", `Quick, test_reproducers_refute_identical_agents);
+    ("reproducers rank the exit status", `Quick, test_reproducers_exit_status);
+    ("reproducers refute syntactic findings", `Quick, test_reproducers_refute_syntactic_findings);
   ]
