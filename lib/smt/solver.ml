@@ -381,25 +381,36 @@ let run_sat ?(fire_hook = true) c budget conds =
   c.c_stats.solver_time <- c.c_stats.solver_time +. Mono.elapsed t0;
   r
 
-(* The full frontend pipeline with a pluggable back end: [core budget conds]
-   is invoked only for queries that survive constant folding, the memo
-   cache and the interval filter.  [check] instantiates it with the
-   scratch SAT core; [Session.check] instantiates it with an incremental
-   assumption solve, inheriting the exact same front half so the two modes
-   see identical query streams. *)
-let check_with ?(use_interval = true) ?(use_cache = true) ?budget ~core conds =
+(* The frontend pipeline is split in two halves around the back end.
+   [front] is everything before the core: constant folding, the memo
+   cache and the interval filter.  It either decides the query
+   ([Decided]) or hands back the surviving conjunction ([Pending]).
+   [settle] is everything after it: result counters, the model sanity
+   check and memoization.  [check_with] runs the two halves around a
+   pluggable core; the crosscheck's all-SAT row query runs [front] per
+   pair, decides the survivors of a whole row in one session query, and
+   [settle]s each pair's answer, so both see one set of stats and memo
+   rules. *)
+type pending = { p_conds : Expr.boolean list; p_key : int list; p_use_cache : bool }
+
+type front = Decided of result | Pending of pending
+
+let pending_conds p = p.p_conds
+
+let resolve_budget = function Some b -> b | None -> (ctx ()).c_budget
+
+let front ?(use_interval = true) ?(use_cache = true) conds =
   let c = ctx () in
-  let budget = match budget with Some b -> b | None -> c.c_budget in
   c.c_stats.queries <- c.c_stats.queries + 1;
   (* drop trivially-true conjuncts; answer immediately on any false *)
   let conds = List.filter (fun cond -> not (Expr.is_true cond)) conds in
   if List.exists Expr.is_false conds then begin
     c.c_stats.const_hits <- c.c_stats.const_hits + 1;
-    Unsat
+    Decided Unsat
   end
   else if conds = [] then begin
     c.c_stats.const_hits <- c.c_stats.const_hits + 1;
-    Sat (Model.empty ())
+    Decided (Sat (Model.empty ()))
   end
   else
     let key = if use_cache then cache_key conds else [] in
@@ -412,7 +423,7 @@ let check_with ?(use_interval = true) ?(use_cache = true) ?budget ~core conds =
          a hit is exactly what would make a chaos fault schedule — and
          hence the report — depend on the worker count. *)
       c.c_hook ();
-      r
+      Decided r
     | None ->
       (* certify mode bypasses the interval filter: its Unsat answers
          carry no proof, and the whole point is never to publish one *)
@@ -429,26 +440,36 @@ let check_with ?(use_interval = true) ?(use_cache = true) ?budget ~core conds =
            on per-domain cache warmth, i.e. on the worker count.
            Replaying the filter costs about what the hit would, so the
            entry is not missed. *)
-        Unsat
+        Decided Unsat
       end
-      else begin
-        let r = core budget conds in
-        (match r with
-         | Sat m ->
-           c.c_stats.sat_results <- c.c_stats.sat_results + 1;
-           (* sanity: the model must actually satisfy the query.  A raised
-              error, not an assert — asserts vanish under --release, which
-              would silently disable the check exactly when it matters. *)
-           if not (Model.satisfies m conds) then
-             raise (Solver_error ("SAT model does not satisfy the query", conds))
-         | Unsat -> c.c_stats.unsat_results <- c.c_stats.unsat_results + 1
-         | Unknown _ -> c.c_stats.unknown_results <- c.c_stats.unknown_results + 1);
-        (* never cache Unknown: it reflects this call's budget, not the query *)
-        (match r with
-         | Unknown _ -> ()
-         | Sat _ | Unsat -> if use_cache then cache_add c key r);
-        r
-      end
+      else Pending { p_conds = conds; p_key = key; p_use_cache = use_cache }
+
+let settle p r =
+  let c = ctx () in
+  (match r with
+   | Sat m ->
+     c.c_stats.sat_results <- c.c_stats.sat_results + 1;
+     (* sanity: the model must actually satisfy the query.  A raised
+        error, not an assert — asserts vanish under --release, which
+        would silently disable the check exactly when it matters. *)
+     if not (Model.satisfies m p.p_conds) then
+       raise (Solver_error ("SAT model does not satisfy the query", p.p_conds))
+   | Unsat -> c.c_stats.unsat_results <- c.c_stats.unsat_results + 1
+   | Unknown _ -> c.c_stats.unknown_results <- c.c_stats.unknown_results + 1);
+  (* never cache Unknown: it reflects this call's budget, not the query *)
+  (match r with
+   | Unknown _ -> ()
+   | Sat _ | Unsat -> if p.p_use_cache then cache_add c p.p_key r);
+  r
+
+(* [core budget conds] is invoked only for queries that survive the front
+   half.  [check] instantiates it with the scratch SAT core;
+   [Session.check] with an incremental assumption solve. *)
+let check_with ?use_interval ?use_cache ?budget ~core conds =
+  let budget = resolve_budget budget in
+  match front ?use_interval ?use_cache conds with
+  | Decided r -> r
+  | Pending p -> settle p (core budget p.p_conds)
 
 let check ?use_interval ?use_cache ?budget conds =
   check_with ?use_interval ?use_cache ?budget

@@ -107,7 +107,11 @@ type stats = {
   mutable const_hits : int;  (** answered by constant folding *)
   mutable interval_hits : int;  (** answered by the interval filter *)
   mutable cache_hits : int;
-  mutable sat_calls : int;  (** queries reaching the SAT core *)
+  mutable sat_calls : int;
+      (** CDCL solves: one per scratch core solve (a session's witness
+          confirm included) and one per session assumption solve.  An
+          all-SAT row query decides many queries per solve, so this is
+          not a per-query count *)
   mutable sat_results : int;
   mutable unsat_results : int;
   mutable unknown_results : int;  (** queries that exhausted their budget *)
@@ -116,15 +120,20 @@ type stats = {
   mutable solver_time : float;  (** monotonic seconds inside the SAT core *)
   mutable proofs_checked : int;  (** certify mode: Unsat proofs validated *)
   mutable proofs_failed : int;  (** certify mode: proofs the checker rejected *)
-  mutable sessions_opened : int;  (** incremental sessions created *)
+  mutable sessions_opened : int;
+      (** incremental sessions created: one per crosscheck block on the
+          all-SAT path, one per row on the per-pair path *)
   mutable assumption_solves : int;
-      (** queries answered by an in-session assumption solve *)
+      (** in-session assumption solves: one per {!Session.check} query,
+          and one per solve of an all-SAT row query (a row costs the
+          models it finds plus a final Unsat) *)
   mutable scratch_fallbacks : int;
-      (** session queries re-run from scratch after an in-session Unknown *)
+      (** crosscheck pairs re-run down the scratch ladder after a
+          session Unknown *)
   mutable tiny_session_fallbacks : int;  (** always 0; kept because softbench reads it *)
   mutable learnt_retained : int;
       (** learnt clauses already in a session's database when an
-          assumption solve started — the reuse incrementality buys *)
+          assumption solve started, summed over solves *)
   mutable canonical_hits : int;  (** always 0; kept because softbench reads it *)
   mutable canon_small_skips : int;  (** always 0; kept because softbench reads it *)
   mutable rows_pruned : int;  (** always 0; kept because softbench reads it *)
@@ -201,6 +210,37 @@ val check_with :
     Sharing the front half is what keeps the two modes' query streams —
     and hence their fault-injection draws and memo behaviour —
     identical. *)
+
+(** {2 The two halves of the pipeline}
+
+    {!check_with} is [front], then a core on the survivors, then
+    [settle].  The crosscheck's all-SAT row query ({!Session.all_sat})
+    runs [front] per pair and decides a whole row's survivors at once,
+    then [settle]s each pair, so it keeps the per-query stats and memo
+    rules of {!check}. *)
+
+type pending
+(** A query that survived the front half, waiting for a core answer. *)
+
+type front = Decided of result | Pending of pending
+
+val front : ?use_interval:bool -> ?use_cache:bool -> Expr.boolean list -> front
+(** Count the query, then try constant folding, the memo cache (a hit
+    fires the query hook, standing in for the solve it replaces) and the
+    interval filter (never cached, no hook).  [Pending] carries the
+    conjunction with trivially-true conjuncts dropped. *)
+
+val pending_conds : pending -> Expr.boolean list
+(** The conjunction a core must decide for this query. *)
+
+val settle : pending -> result -> result
+(** Publish a core answer for a pending query: bump the result counters,
+    check that a Sat model satisfies the query (raising
+    {!Solver_error} otherwise) and memoize Sat/Unsat.  Returns the
+    answer. *)
+
+val resolve_budget : budget option -> budget
+(** An explicit budget, or the calling domain's {!set_default_budget}. *)
 
 val solve_scratch : ?fire_hook:bool -> budget -> Expr.boolean list -> result
 (** A raw scratch SAT solve (blast + CDCL + certify-mode proof check) on

@@ -4,9 +4,12 @@
    C_A(i) ∧ C_B(j) is satisfiable.  Each satisfiable pair is an
    inconsistency, and the solver's model is a concrete witness input.
 
-   The number of solver queries is |RES_A| · |RES_B| minus the equal pairs,
-   which grouping has already reduced by orders of magnitude relative to
-   raw path counts.
+   Every differing pair is one frontend query (|RES_A| · |RES_B| minus
+   the equal pairs, which grouping has already reduced by orders of
+   magnitude relative to raw path counts), but far fewer reach the SAT
+   core: the fast path decides a whole row's surviving pairs with one
+   all-SAT query, at the price of one solve per model found plus one
+   final Unsat.
 
    This stage is the fragile part of SOFT — the paper's own STP blew up on
    the Open vSwitch FlowMod disjunctions (§5.2, Table 3).  Three defences
@@ -19,18 +22,20 @@
    - periodic checkpoints, so a killed multi-hour crosscheck resumes where
      it left off instead of starting over.
 
-   And one amortization: every query of row [i] shares the full conjunct
-   C_A(i) with every other query in the row, so the solve stage is
-   row-major over incremental {!Smt.Session}s — C_A(i) is blasted once as
-   hard clauses, each C_B(j) rides on an activation literal, and learnt
-   clauses/activities/phases carry across the row.  That is the one fast
-   path, at every budget and every [-j]; the per-pair scratch loop
-   ([~incremental:false]) is the reference it is tested against, and also
-   serves certify mode, [?split] and in-session Unknowns.  Reports are
+   And one amortization: rows are cut into at most 16 fixed blocks, each
+   one pool task on one incremental {!Smt.Session}.  Each C_B(j) is
+   blasted once per block under a selector, each C_A(i) under a row
+   guard, and a row asks for "some selector" until Unsat
+   ({!Session.all_sat}); learnt clauses carry across the block.  That is
+   the fast path, at every budget and every [-j].  Under a chaos plan or
+   supervision, whose fault streams are defined per pair, pairs are
+   solved one at a time on per-row sessions.  The per-pair scratch loop
+   ([~incremental:false]) is the reference both are tested against, and
+   also serves certify mode, [?split] and budget Unknowns.  Reports are
    byte-identical either way (see [session.ml]).
 
    [check] runs in four stages: classify (row-major pair collection),
-   solve (one pool task per row), record (serialized on the calling
+   solve (one pool task per block), record (serialized on the calling
    domain) and emit (row-major report assembly). *)
 
 open Smt
@@ -457,24 +462,79 @@ let guard_pair ~key f =
   | v -> F_ok v
   | exception (Solver.Solver_error _ | Chaos.Injected_fault _) -> F_fault
 
-(* Stage 2 — solve one row [(i, js)]; pure apart from solver state local
-   to the calling domain, so it may run on any pool worker.  Two back
-   ends:
-   - session: one {!Smt.Session} per row with C_A(i) as its hard base,
-     each C_B(j) decided under an activation literal.  The session lives
-     and dies inside this row task, so its verdicts — budgeted Unknowns
-     included — do not depend on how rows were scheduled.  An in-session
-     Unknown (the budget bit) retries the pair down the scratch ladder.
-   - scratch: {!sat_pair} on fresh instances — the reference path, used
-     under [~incremental:false], an explicit [split], and certify mode
-     (an assumption-failure Unsat has no replayable DRUP proof).
-   Without supervision ([sup = None]) every pair gets one guarded
-   attempt.  With it, each attempt runs under a watchdog token and the
-   retry/backoff/quarantine ladder; retries leave the session (a killed
-   attempt may have left half-blasted, inactive clauses behind) and rerun
-   from scratch, and a watchdog kill of the session's own base blast
-   sends the whole row down the scratch path instead of killing it. *)
-let solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
+(* Stage 2 — solve.  The solve stage has two shapes:
+   - all-SAT (the fast path): rows are cut into at most [block_count]
+     contiguous blocks (a constant, never derived from [-j]); each block
+     is one pool task on one {!Smt.Session}.  Every pair still runs the
+     solver's front half ({!Solver.front}: constant folding, exact memo,
+     interval filter); the survivors of a row are decided together by one
+     {!Session.all_sat} query, which costs one solve per model found plus
+     a final Unsat instead of one solve per pair.  B's conditions are
+     blasted once per block.  A budget Unknown decides the rest of the
+     row pair by pair on the same session, and a pair still Unknown goes
+     down the scratch ladder.
+   - per pair: each pair gets its own attempt.  This is the shape under a
+     chaos plan or supervision, whose fault streams, draw table and
+     explore corpus are all defined per pair.  A row session decides
+     each pair under an activation literal, and [~incremental:false],
+     [?split] and certify mode use {!sat_pair} on fresh instances (the
+     reference path; an assumption-failure Unsat has no replayable DRUP
+     proof).
+   Blocks are fixed, and every session lives and dies inside one task, so
+   verdicts — budgeted Unknowns included — do not depend on how tasks
+   were scheduled. *)
+let block_count = 16
+
+let blocks rows =
+  let n = Array.length rows in
+  let size = max 1 ((n + block_count - 1) / block_count) in
+  Array.init ((n + size - 1) / size) (fun b ->
+      Array.sub rows (b * size) (min size (n - (b * size))))
+
+let fallback () =
+  let st = Solver.stats () in
+  st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1
+
+(* One row on the block's session.  A soundness error costs the row's
+   pairs their verdicts (degraded to faulted), never the run. *)
+let all_sat_row s ?budget ?retry groups_a groups_b (i, js) =
+  let ga = groups_a.(i) in
+  let verdict j = function
+    | Solver.Sat witness -> Pair_sat witness
+    | Solver.Unsat -> Pair_unsat
+    | Solver.Unknown _ ->
+      fallback ();
+      sat_pair ?budget ?retry ga groups_b.(j)
+  in
+  match
+    let fronts =
+      List.map (fun j -> (j, Solver.front [ ga.Grouping.g_cond; groups_b.(j).Grouping.g_cond ])) js
+    in
+    let pending =
+      List.filter_map (function j, Solver.Pending p -> Some (j, p) | _, Solver.Decided _ -> None) fronts
+    in
+    let answers =
+      Session.all_sat ?budget s ga.Grouping.g_cond
+        (List.map (fun (j, p) -> (groups_b.(j).Grouping.g_cond, p)) pending)
+    in
+    let answers = List.combine (List.map fst pending) answers in
+    List.map
+      (fun (j, f) ->
+        let r = match f with Solver.Decided r -> r | Solver.Pending _ -> List.assoc j answers in
+        ((i, j), (F_ok (verdict j r), 0)))
+      fronts
+  with
+  | row -> row
+  | exception Solver.Solver_error _ -> List.map (fun j -> ((i, j), (F_fault, 0))) js
+
+(* One row, pair by pair.  Without supervision ([sup = None]) every pair
+   gets one guarded attempt.  With it, each attempt runs under a watchdog
+   token and the retry/backoff/quarantine ladder; retries leave the
+   session (a killed attempt may have left half-blasted, inactive clauses
+   behind) and rerun from scratch, and a watchdog kill of the session's
+   own base blast sends the whole row down the scratch path instead of
+   killing it. *)
+let per_pair_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
   let ga = groups_a.(i) in
   let scratch j = sat_pair ?split ?budget ?retry ga groups_b.(j) in
   let session =
@@ -493,8 +553,7 @@ let solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_
       | Solver.Sat witness -> Pair_sat witness
       | Solver.Unsat -> Pair_unsat
       | Solver.Unknown _ ->
-        let st = Solver.stats () in
-        st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1;
+        fallback ();
         scratch j)
   in
   List.map
@@ -511,6 +570,19 @@ let solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_
         | `Done (v, retries) -> ((i, j), (F_ok v, retries))
         | `Quarantine (tax, msg, retries) -> ((i, j), (F_quarantine (tax, msg), retries))))
     js
+
+(* One block task; pure apart from solver state local to the calling
+   domain, so it may run on any pool worker. *)
+let solve_block ~sup ~use_session ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b
+    block =
+  let rows = Array.to_list block in
+  if all_sat then
+    let s = Session.create [] in
+    List.concat_map (all_sat_row s ?budget ?retry groups_a groups_b) rows
+  else
+    List.concat_map
+      (per_pair_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b)
+      rows
 
 (* Stage 4 — emit, row-major again: the reported lists depend only on the
    per-pair verdicts, never on completion order, so the report is the
@@ -609,25 +681,29 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
   (* A task that dies outside any supervised attempt costs its own pairs
      (quarantined under supervision, transiently faulted without), never
      the run. *)
-  let record_task_crash ~supervised (i, js) e =
+  let record_task_crash ~supervised block e =
     let tax, msg = Supervise.classify_exn e in
     on_warning
       (Printf.sprintf "worker task died (%s): %s" (Supervise.taxonomy_to_string tax) msg);
     let fate = if supervised then F_quarantine (tax, msg) else F_fault in
-    List.iter (fun j -> record (i, j) (fate, 0)) js
+    Array.iter (fun (i, js) -> List.iter (fun j -> record (i, j) (fate, 0)) js) block
   in
   let use_session = incremental && split = None && not (Solver.certify_enabled ()) in
+  let all_sat = use_session && supervise = None && Chaos.current () = None in
   let pair_key (i, j) = (i * Array.length groups_b) + j in
   let worker_init, worker_exit = solver_pool_hooks () in
+  let tasks = blocks rows in
   let solve sup =
     ignore
       (Pool.run ~worker_init ~worker_exit ~force_pool
          ~on_result:(fun k -> function
-           | Ok row -> List.iter (fun (ij, fr) -> record ij fr) row
-           | Error (e, _) -> record_task_crash ~supervised:(sup <> None) rows.(k) e)
+           | Ok pairs -> List.iter (fun (ij, fr) -> record ij fr) pairs
+           | Error (e, _) ->
+             record_task_crash ~supervised:(sup <> None) tasks.(k) e)
          ~jobs
-         (solve_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b)
-         rows)
+         (solve_block ~sup ~use_session ~all_sat ?split ?budget ?retry ~pair_key groups_a
+            groups_b)
+         tasks)
   in
   (match supervise with
    | None -> solve None

@@ -9,10 +9,11 @@
     proposed remedy), pairs recorded as *undecided* instead of silently
     dropped, and periodic checkpoints so a killed run resumes.
 
-    Pairs are solved by one of two back ends: per-row incremental
-    {!Smt.Session}s (the default, at every budget and every [jobs]) or
-    per-pair scratch instances (the reference path; see [incremental]
-    below). *)
+    Every differing pair is one frontend query, but the default back end
+    decides a whole row's surviving pairs with one all-SAT query on an
+    incremental {!Smt.Session} shared by a block of rows, so SAT calls
+    scale with rows plus inconsistencies, not with pairs.  Per-pair
+    scratch instances are the reference path (see [incremental] below). *)
 
 type inconsistency = {
   i_result_a : Openflow.Trace.result;
@@ -138,18 +139,23 @@ val check :
     completion order when [jobs > 1].  [jobs = 1] runs everything on the
     calling domain, exactly as before.
 
-    [incremental] (default true): solve each row of the pair matrix on one
-    {!Smt.Session} — the row's common conjunct [C_A(i)] is bit-blasted
-    once as hard clauses, each [C_B(j)] is guarded by a fresh activation
-    literal, and learnt clauses, variable activities and saved phases
-    carry across the row.  This is the one fast path, at every budget
-    and every [jobs]: a pool task is a whole row, and its session lives
-    and dies inside that task, so even budgeted verdicts do not depend on
-    scheduling.  A query the session's budget cannot decide falls back to
-    the scratch retry ladder (counted in [scratch_fallbacks]).  Reports
-    are byte-identical to [~incremental:false], the per-pair scratch
-    reference path: session Sat witnesses are re-derived canonically from
-    scratch and the fault-injection stream is query-aligned (see
+    [incremental] (default true): cut the rows into at most 16 contiguous
+    blocks of [⌈rows/16⌉] rows (a constant, never derived from [jobs]);
+    each block is one pool task on one {!Smt.Session}.  Each pair still
+    runs the solver's front half (constant folding, exact memo, interval
+    filter); a row's survivors are then decided by one
+    {!Smt.Session.all_sat} query, which blasts each [C_B(j)] once per
+    block and costs one solve per model found plus a final Unsat.  Every
+    pair it decides is memoized, so a warm re-run makes no SAT call.  A
+    budget [Unknown] decides the rest of the row pair by pair on the same
+    session, and a pair still [Unknown] falls back to the scratch retry
+    ladder (counted in [scratch_fallbacks]).  Blocks are fixed and each
+    session lives and dies inside its task, so even budgeted verdicts do
+    not depend on scheduling.  Under a chaos plan or [supervise], whose
+    fault streams are defined per pair, each pair is decided on its own
+    (on a per-row session).  Reports are byte-identical to
+    [~incremental:false], the per-pair scratch reference path: Sat
+    witnesses are re-derived canonically from scratch (see
     {!Smt.Session}).  An explicit [split] or an enabled certify regime
     forces the scratch path (chunked queries share no row conjunct; an
     assumption-failure Unsat has no replayable DRUP proof).

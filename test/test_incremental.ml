@@ -97,6 +97,50 @@ let test_session_matches_scratch_queries () =
         done
       done)
 
+(* One row query decides every candidate a model satisfies: with
+   [x < 10 ∧ x = y] as the row, the first model satisfies both [x < 20]
+   and [y < 30], so the row costs that Sat plus the final Unsat that
+   refutes [x xor y ≠ 0] (beyond the interval filter) — two solves for
+   three pairs, witnesses as scratch's. *)
+let test_all_sat_row_query () =
+  with_clean_world (fun () ->
+      Solver.set_certify false;
+      let x = Expr.var ~width:8 "inc.allsat.x" and y = Expr.var ~width:8 "inc.allsat.y" in
+      let c n = Expr.const ~width:8 n in
+      let row = Expr.and_ (Expr.ult x (c 10L)) (Expr.eq x y) in
+      let bs =
+        [ Expr.ult x (c 20L); Expr.not_ (Expr.eq (Expr.logxor x y) (c 0L)); Expr.ult y (c 30L) ]
+      in
+      let scratch = List.map (fun b -> Solver.clear_cache (); Solver.check [ row; b ]) bs in
+      Solver.clear_cache ();
+      let st = Solver.stats () in
+      let solves0 = st.Solver.assumption_solves and queries0 = st.Solver.queries in
+      let s = Session.create [] in
+      let cands =
+        List.map
+          (fun b ->
+            match Solver.front [ row; b ] with
+            | Solver.Pending p -> (b, p)
+            | Solver.Decided _ -> Alcotest.fail "the front half decided a pair")
+          bs
+      in
+      let answers = Session.all_sat s row cands in
+      check_int "one front-half query per pair" (queries0 + 3) st.Solver.queries;
+      check_int "one Sat for both overlapping pairs, one final Unsat" (solves0 + 2)
+        st.Solver.assumption_solves;
+      List.iter2
+        (fun r_scr r_all ->
+          match (r_scr, r_all) with
+          | Solver.Sat m1, Solver.Sat m2 ->
+            check_bool "all-SAT publishes the scratch witness" true
+              (Model.bindings m1 = Model.bindings m2)
+          | Solver.Unsat, Solver.Unsat -> ()
+          | _ -> Alcotest.fail "all-SAT verdict differs from scratch")
+        scratch answers;
+      let hits0 = st.Solver.cache_hits in
+      List.iter (fun b -> ignore (Solver.check [ row; b ])) bs;
+      check_int "every core-decided pair was memoized" (hits0 + 3) st.Solver.cache_hits)
+
 (* --- crosscheck equivalence ------------------------------------------- *)
 
 (* the one nondeterministic field is wall time; everything else must be
@@ -106,11 +150,14 @@ let canon (o : Soft.Crosscheck.outcome) =
 
 (* A synthetic grouped run: randomized conditions over a tiny shared
    variable pool, result keys drawn so the two sides overlap on some
-   (those pairs are skipped as equal) and differ on the rest. *)
-let mk_grouped ~rng ~agent ~key_base n_groups =
+   (those pairs are skipped as equal) and differ on the rest.  With
+   [~shared], every group also admits one common condition, so the
+   groups overlap and one model can satisfy several of them at once. *)
+let mk_grouped ?shared ~rng ~agent ~key_base n_groups =
   let groups =
     List.init n_groups (fun k ->
         let members = List.init (1 + Random.State.int rng 3) (fun _ -> random_cond rng) in
+        let members = match shared with Some c -> c :: members | None -> members in
         let result =
           { Openflow.Trace.trace = [ Printf.sprintf "out:%d" (key_base + k) ]; crash = None }
         in
@@ -129,16 +176,27 @@ let mk_grouped ~rng ~agent ~key_base n_groups =
     gr_group_time = 0.0;
   }
 
+(* Seeds 1–8 build small matrices (one row per block); seeds 9–12 build
+   17–40 rows, so the all-SAT blocks hold several rows each, over B
+   groups that all admit [inc.x < 64] — one model then often satisfies
+   several B groups of a row at once. *)
 let test_random_matrices_identical () =
   with_clean_world (fun () ->
       Solver.set_certify false;
       let budgeted_undecided = ref 0 in
-      for seed = 1 to 8 do
+      for seed = 1 to 12 do
         let rng = Random.State.make [| seed |] in
-        let na = 2 + Random.State.int rng 5 and nb = 2 + Random.State.int rng 5 in
+        let wide = seed > 8 in
+        let na = if wide then 17 + Random.State.int rng 24 else 2 + Random.State.int rng 5 in
+        let nb = 2 + Random.State.int rng 5 in
+        let shared =
+          if wide then
+            Some (Expr.ult (List.hd (Lazy.force vars)) (Expr.const ~width:8 64L))
+          else None
+        in
         (* overlapping key ranges: some equal pairs, some crosschecked *)
         let a = mk_grouped ~rng ~agent:"A" ~key_base:0 na in
-        let b = mk_grouped ~rng ~agent:"B" ~key_base:(Random.State.int rng 3) nb in
+        let b = mk_grouped ?shared ~rng ~agent:"B" ~key_base:(Random.State.int rng 3) nb in
         let run ~incremental ~jobs =
           Solver.clear_cache ();
           Soft.Crosscheck.check ~jobs ~incremental a b
@@ -154,8 +212,8 @@ let test_random_matrices_identical () =
           (canon scratch)
           (canon (run ~incremental:true ~jobs:4));
         (* under a budget, a session's Unknown depends on the solver state
-           it runs against; sessions are row-local, so the report must
-           still not depend on the worker count *)
+           it runs against; blocks are fixed and sessions block-local, so
+           the report must still not depend on the worker count *)
         let budget = Solver.budget ~max_conflicts:(seed mod 3) () in
         let budgeted jobs =
           Solver.clear_cache ();
@@ -231,6 +289,42 @@ let test_certify_forces_scratch_and_matches () =
       let o_scr = Soft.Crosscheck.check ~jobs:1 ~incremental:false a b in
       Alcotest.(check string) "reports identical under certify" (canon o_scr) (canon o_inc))
 
+(* --- the all-SAT counters on real runs --------------------------------- *)
+
+(* Cold, unbudgeted, at -j1: every pair is one front-half query, a row
+   costs at most one solve per inconsistency plus its final Unsat, and
+   one session is opened per block of ⌈rows/16⌉ rows.  Every
+   core-decided pair is memoized, so a warm re-run never reaches the SAT
+   core. *)
+let test_row_query_counters () =
+  with_clean_world (fun () ->
+      Solver.set_certify false;
+      let a, b = grouped_runs () in
+      let rows =
+        List.length
+          (List.filter
+             (fun (ga : Soft.Grouping.group) ->
+               List.exists
+                 (fun (gb : Soft.Grouping.group) -> ga.Soft.Grouping.g_key <> gb.Soft.Grouping.g_key)
+                 b.Soft.Grouping.gr_groups)
+             a.Soft.Grouping.gr_groups)
+      in
+      let size = (rows + 15) / 16 in
+      let st = Solver.stats () in
+      Solver.clear_cache ();
+      Solver.reset_stats ();
+      let o = Soft.Crosscheck.check ~jobs:1 a b in
+      check_bool "several rows per block" true (size > 1);
+      check_int "queries = pairs checked" o.Soft.Crosscheck.o_pairs_checked st.Solver.queries;
+      check_bool "assumption solves <= rows + inconsistencies" true
+        (st.Solver.assumption_solves <= rows + Soft.Crosscheck.count o);
+      check_int "one session per block" ((rows + size - 1) / size) st.Solver.sessions_opened;
+      Solver.reset_stats ();
+      let warm = Soft.Crosscheck.check ~jobs:1 a b in
+      Alcotest.(check string) "warm report identical" (canon o) (canon warm);
+      check_int "warm re-run: no SAT calls" 0 st.Solver.sat_calls;
+      check_int "warm re-run: no assumption solves" 0 st.Solver.assumption_solves)
+
 (* --- the session counters --------------------------------------------- *)
 
 let test_session_counters_and_merge () =
@@ -292,9 +386,12 @@ let suite =
     ("sat solve under assumptions", `Quick, test_sat_assumptions);
     ("sat instance grows between solves", `Quick, test_sat_incremental_growth);
     ("session answers match scratch queries", `Quick, test_session_matches_scratch_queries);
+    ("all-SAT row query decides overlapping pairs at once", `Quick, test_all_sat_row_query);
     ("randomized matrices: incremental = scratch", `Quick, test_random_matrices_identical);
     ("real runs: incremental = scratch at -j1/-j4", `Quick, test_real_runs_identical);
     ("chaos seeds: incremental = scratch", `Quick, test_chaos_seeds_identical);
     ("certify mode falls back to scratch", `Quick, test_certify_forces_scratch_and_matches);
+    ("all-SAT counters on real runs, warm re-run solves nothing", `Quick,
+     test_row_query_counters);
     ("session counters fold across domains", `Quick, test_session_counters_and_merge);
   ]

@@ -319,6 +319,33 @@ let test_row_session_parity () =
       Alcotest.(check string) "under certify: -j4 byte-identical to -j1" (canon p1)
         (canon p4))
 
+(* The all-SAT row query memoizes every pair it decides, and only pairs
+   that survived the front half reach it.  A chaos run on the warm cache
+   a non-chaos run left behind then draws exactly as a cold one: each
+   memoized pair's hit draws once, standing for the solve a cold run
+   makes, and an interval-refutable pair draws nothing either way.  A
+   row Unsat that memoized such a pair would add a draw and shift the
+   keyed fault schedule. *)
+let test_row_query_memo_keeps_draws () =
+  with_clean_world (fun () ->
+      let a, b = grouped_runs () in
+      let chaos jobs =
+        Mono.reset_skew ();
+        Chaos.install (Chaos.plan ~seed:5 ~rate:0.3 ());
+        let o = Soft.Crosscheck.check ~jobs a b in
+        Chaos.deactivate ();
+        Mono.reset_skew ();
+        o
+      in
+      Solver.clear_cache ();
+      ignore (Soft.Crosscheck.check ~jobs:1 a b);
+      let warm = chaos 1 in
+      Solver.clear_cache ();
+      let cold = chaos 4 in
+      check_bool "the chaos plan faulted some pair" true (cold.Soft.Crosscheck.o_pair_faults > 0);
+      Alcotest.(check string) "warm -j1 chaos report byte-identical to cold -j4" (canon cold)
+        (canon warm))
+
 (* --- the pipeline at -j N --------------------------------------------- *)
 
 let test_compare_suite_jobs_equivalent () =
@@ -444,6 +471,8 @@ let suite =
     ("row sessions: -j parity (default/chaos/certify)", `Quick, test_row_session_parity);
     ("interval refutations bypass the cache; hook draws per answer source", `Quick,
      test_interval_refutation_uncached);
+    ("warm all-SAT memo keeps the chaos draw schedule", `Quick,
+     test_row_query_memo_keeps_draws);
     ("compare_suite equal at -j1 and -j4", `Quick, test_compare_suite_jobs_equivalent);
     ("suite failure attribution under -j4", `Quick, test_compare_suite_failure_attribution);
   ]
