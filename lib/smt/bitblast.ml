@@ -11,15 +11,19 @@ type ctx = {
   var_bits : (int, int array) Hashtbl.t; (* Expr var id -> sat vars *)
 }
 
-(* [proof] must be decided at creation: the [tru] clause below is already
-   part of the CNF a DRUP checker replays, so enabling logging any later
-   would leave the original-clause record incomplete. *)
+(* [proof] must be decided on an empty instance: the [tru] clause below is
+   already part of the CNF a DRUP checker replays, so enabling logging any
+   later would leave the original-clause record incomplete.  The first
+   variable of an empty instance is always 0, so [tru] is too. *)
+let start sat proof =
+  if proof then Sat.enable_proof sat;
+  let tru = 2 * Sat.new_var sat in
+  Sat.add_clause sat [ tru ];
+  tru
+
 let create ?(proof = false) () =
   let sat = Sat.create () in
-  if proof then Sat.enable_proof sat;
-  let tv = Sat.new_var sat in
-  let tru = 2 * tv in
-  Sat.add_clause sat [ tru ];
+  let tru = start sat proof in
   {
     sat;
     tru;
@@ -27,6 +31,17 @@ let create ?(proof = false) () =
     bool_memo = Hashtbl.create 512;
     var_bits = Hashtbl.create 64;
   }
+
+(* Back to the state of [create ~proof ()], for a scratch solver reused
+   across queries.  [Hashtbl.reset] also shrinks a table that grew back to
+   its creation size: [extract_model] iterates [var_bits], and the
+   iteration order depends on the bucket count. *)
+let reset ?(proof = false) ctx =
+  Sat.reset ctx.sat;
+  Hashtbl.reset ctx.bv_memo;
+  Hashtbl.reset ctx.bool_memo;
+  Hashtbl.reset ctx.var_bits;
+  ignore (start ctx.sat proof : int)
 
 let lit_neg = Sat.lit_neg
 

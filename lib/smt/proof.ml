@@ -22,6 +22,11 @@ let lit_neg l = l lxor 1
 
 type cls = { lits : int array; mutable alive : bool }
 
+(* The filler of unused clause slots.  One shared value: a fresh record
+   as [Array.make]'s initial value is a young block, and OCaml 5 empties
+   the minor heap before filling a major-heap array with one. *)
+let no_clause = { lits = [||]; alive = false }
+
 type t = {
   mutable value : int array; (* var -> 0 unassigned / 1 true / 2 false *)
   mutable trail : int array;
@@ -41,7 +46,7 @@ let create () =
     trail_size = 0;
     qhead = 0;
     watches = Array.make 32 [];
-    clauses = Array.make 16 { lits = [||]; alive = false };
+    clauses = Array.make 16 no_clause;
     nclauses = 0;
     index = Hashtbl.create 256;
     refuted = false;
@@ -136,7 +141,7 @@ let normalize raw =
 
 let store t arr key =
   if t.nclauses >= Array.length t.clauses then begin
-    let a = Array.make (2 * Array.length t.clauses) { lits = [||]; alive = false } in
+    let a = Array.make (2 * Array.length t.clauses) no_clause in
     Array.blit t.clauses 0 a 0 t.nclauses;
     t.clauses <- a
   end;

@@ -11,15 +11,22 @@
    row-major sessions amortize.
 
    Literal encoding: variable [v] yields literals [2*v] (positive) and
-   [2*v+1] (negated). *)
+   [2*v+1] (negated).
+
+   Storage allocates nothing per clause and nothing per watch visit (DESIGN
+   §5.12).  Clause literals sit back to back in one int arena, with an
+   offset and a length per clause index.  Clause [ci] owns the two watch
+   nodes [2*ci] and [2*ci+1]; a watch list is a chain of nodes threaded
+   through [wnext] from a per-literal head, and propagation relinks a node
+   from one chain to another instead of consing a cell.  The chains keep
+   the prepend order of the list-based store this replaced, so the search,
+   and every model, is unchanged. *)
 
 (* Why a solve can stop without an answer: every budget maps to one of
    these, and the frontend surfaces them as [Solver.Unknown]. *)
 type stop_reason = Conflicts | Decisions | Time
 
 type result = Sat | Unsat | Unknown of stop_reason
-
-type clause = { lits : int array; learnt : bool }
 
 (* DRUP proof logging.  When enabled, every clause the solver derives
    (learnt clauses, including the final empty clause of an Unsat run) is
@@ -37,9 +44,13 @@ type proof_log = {
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause array; (* dynamic *)
+  mutable arena : int array; (* every stored clause's literals, back to back *)
+  mutable arena_top : int;
+  mutable cstart : int array; (* clause -> offset of its first literal *)
+  mutable clen : int array; (* clause -> literal count *)
   mutable nclauses : int;
-  mutable watches : int list array; (* literal -> clause indices *)
+  mutable whead : int array; (* literal -> first watch node, or -1 *)
+  mutable wnext : int array; (* watch node -> next node in its chain, or -1 *)
   mutable assigns : int array; (* var -> 0 unassigned / 1 true / 2 false *)
   mutable level : int array; (* var -> decision level *)
   mutable reason : int array; (* var -> clause index or -1 *)
@@ -61,6 +72,7 @@ type t = {
   mutable nlearnts : int; (* learnt clauses in the database *)
   mutable proof : proof_log option;
   mutable lbuf : int array; (* the clause being added *)
+  mutable abuf : int array; (* the clause being learnt *)
   mutable seen : Bytes.t; (* [analyze]'s marks, all clear between calls *)
 }
 
@@ -71,9 +83,13 @@ let lit_sign l = l land 1 = 1 (* true = negated *)
 let create () =
   {
     nvars = 0;
-    clauses = Array.make 16 { lits = [||]; learnt = false };
+    arena = Array.make 64 0;
+    arena_top = 0;
+    cstart = Array.make 16 0;
+    clen = Array.make 16 0;
     nclauses = 0;
-    watches = Array.make 16 [];
+    whead = Array.make 16 (-1);
+    wnext = Array.make 32 (-1);
     assigns = Array.make 8 0;
     level = Array.make 8 0;
     reason = Array.make 8 (-1);
@@ -95,8 +111,38 @@ let create () =
     nlearnts = 0;
     proof = None;
     lbuf = Array.make 8 0;
+    abuf = Array.make 8 0;
     seen = Bytes.make 8 '\000';
   }
+
+(* Back to the state of [create ()], keeping every array's capacity: a
+   search on the reset instance is the search a fresh one makes.  Nothing
+   is assumed about the state left behind, so a solve that raised is
+   undone too. *)
+let reset s =
+  let nv = s.nvars in
+  Array.fill s.assigns 0 nv 0;
+  Array.fill s.level 0 nv 0;
+  Array.fill s.reason 0 nv (-1);
+  Array.fill s.activity 0 nv 0.0;
+  Array.fill s.polarity 0 nv false;
+  Array.fill s.heap_pos 0 nv (-1);
+  Array.fill s.whead 0 (2 * nv) (-1);
+  Bytes.fill s.seen 0 nv '\000';
+  s.nvars <- 0;
+  s.arena_top <- 0;
+  s.nclauses <- 0;
+  s.trail_size <- 0;
+  s.ndecisions <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.heap_size <- 0;
+  s.ok <- true;
+  s.conflicts <- 0;
+  s.propagations <- 0;
+  s.decisions <- 0;
+  s.nlearnts <- 0;
+  s.proof <- None
 
 (* --- proof logging --------------------------------------------------- *)
 
@@ -207,13 +253,11 @@ let new_var s =
     s.heap_pos <- grow s.heap_pos n (-1);
     s.trail <- grow s.trail n 0;
     s.trail_lim <- grow s.trail_lim n 0;
+    (* a learnt clause has at most one literal per variable *)
+    s.abuf <- grow s.abuf n 0;
     s.seen <- Bytes.make (Array.length s.assigns) '\000'
   end;
-  if Array.length s.watches < 2 * s.nvars then begin
-    let w = Array.make (max (2 * s.nvars) (2 * Array.length s.watches + 2)) [] in
-    Array.blit s.watches 0 w 0 (Array.length s.watches);
-    s.watches <- w
-  end;
+  s.whead <- grow s.whead (2 * s.nvars) (-1);
   heap_insert s v;
   v
 
@@ -231,20 +275,33 @@ let enqueue s l reason =
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
-let push_clause s c =
-  if s.nclauses >= Array.length s.clauses then begin
-    let a = Array.make (2 * Array.length s.clauses) c in
-    Array.blit s.clauses 0 a 0 s.nclauses;
-    s.clauses <- a
+(* Store [lits.(0 .. n-1)] as a new clause; returns its index. *)
+let push_clause s lits n =
+  let ci = s.nclauses in
+  if ci >= Array.length s.cstart then begin
+    s.cstart <- grow s.cstart (ci + 1) 0;
+    s.clen <- grow s.clen (ci + 1) 0;
+    s.wnext <- grow s.wnext (2 * Array.length s.cstart) (-1)
   end;
-  s.clauses.(s.nclauses) <- c;
-  s.nclauses <- s.nclauses + 1;
-  s.nclauses - 1
+  s.arena <- grow s.arena (s.arena_top + n) 0;
+  Array.blit lits 0 s.arena s.arena_top n;
+  s.cstart.(ci) <- s.arena_top;
+  s.clen.(ci) <- n;
+  s.arena_top <- s.arena_top + n;
+  s.nclauses <- ci + 1;
+  ci
 
+(* Prepend watch node [w] to the chain of literal [l]. *)
+let link s w l =
+  s.wnext.(w) <- s.whead.(l);
+  s.whead.(l) <- w
+
+(* A clause is woken when one of its first two literals becomes false,
+   i.e. when that literal's negation is assigned. *)
 let watch_clause s ci =
-  let c = s.clauses.(ci) in
-  s.watches.(lit_neg c.lits.(0)) <- ci :: s.watches.(lit_neg c.lits.(0));
-  s.watches.(lit_neg c.lits.(1)) <- ci :: s.watches.(lit_neg c.lits.(1))
+  let o = s.cstart.(ci) in
+  link s (2 * ci) (lit_neg s.arena.(o));
+  link s ((2 * ci) + 1) (lit_neg s.arena.(o + 1))
 
 let cancel_until s lvl =
   if s.ndecisions > lvl then begin
@@ -264,7 +321,7 @@ let cancel_until s lvl =
    sat.mli).  Any leftover non-root assignment is unwound first, so the
    level-0 simplification only filters by permanent assignments.  Sorting
    (insertion sort: the blaster's clauses have 2-3 literals), dedup and
-   filtering run in place; only a stored clause allocates its array. *)
+   filtering run in place, and a stored clause is copied into the arena. *)
 let add_lbuf s n =
   cancel_until s 0;
   let a = s.lbuf in
@@ -305,7 +362,7 @@ let add_lbuf s n =
         log_step s (P_add [||]);
         s.ok <- false
       | 1 -> enqueue s a.(0) (-1)
-      | k -> watch_clause s (push_clause s { lits = Array.sub a 0 k; learnt = false })
+      | k -> watch_clause s (push_clause s a k)
   end
 
 let add_clause s lits =
@@ -327,90 +384,85 @@ let add_clause3 s a b c =
 
 (* --- propagation ---------------------------------------------------- *)
 
-exception Conflict of int (* clause index *)
-
+(* Returns the conflicting clause's index, or -1.  The woken chain of [l]
+   is detached and each node relinked as it is visited: onto [l] again
+   while the clause still watches there, onto its new watch otherwise.
+   After a conflict the rest of the chain goes back onto [l] unvisited. *)
 let propagate s =
-  try
-    while s.qhead < s.trail_size do
-      let l = s.trail.(s.qhead) in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      let watching = s.watches.(l) in
-      s.watches.(l) <- [];
-      let rec go = function
-        | [] -> ()
-        | ci :: rest -> (
-          let c = s.clauses.(ci) in
-          (* ensure the false literal is at position 1 *)
-          if c.lits.(0) = lit_neg l then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- lit_neg l
-          end;
-          if lit_value s c.lits.(0) = 1 then begin
-            (* satisfied: keep watching *)
-            s.watches.(l) <- ci :: s.watches.(l);
-            go rest
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < s.trail_size do
+    let l = s.trail.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    let fl = lit_neg l in
+    let node = ref s.whead.(l) in
+    s.whead.(l) <- -1;
+    while !node >= 0 do
+      let w = !node in
+      node := s.wnext.(w);
+      if !confl >= 0 then link s w l
+      else begin
+        let ci = w lsr 1 in
+        let a = s.arena and o = s.cstart.(ci) in
+        (* ensure the false literal is at position 1 *)
+        if a.(o) = fl then begin
+          a.(o) <- a.(o + 1);
+          a.(o + 1) <- fl
+        end;
+        if lit_value s a.(o) = 1 then link s w l (* satisfied: keep watching *)
+        else begin
+          (* find a new watch *)
+          let n = s.clen.(ci) in
+          let k = ref 2 in
+          while !k < n && lit_value s a.(o + !k) = 2 do
+            incr k
+          done;
+          if !k < n then begin
+            let tmp = a.(o + 1) in
+            a.(o + 1) <- a.(o + !k);
+            a.(o + !k) <- tmp;
+            link s w (lit_neg a.(o + 1))
           end
           else begin
-            (* find a new watch *)
-            let n = Array.length c.lits in
-            let found = ref false in
-            let k = ref 2 in
-            while (not !found) && !k < n do
-              if lit_value s c.lits.(!k) <> 2 then begin
-                let tmp = c.lits.(1) in
-                c.lits.(1) <- c.lits.(!k);
-                c.lits.(!k) <- tmp;
-                s.watches.(lit_neg c.lits.(1)) <- ci :: s.watches.(lit_neg c.lits.(1));
-                found := true
-              end
-              else incr k
-            done;
-            if !found then go rest
-            else begin
-              (* unit or conflict *)
-              s.watches.(l) <- ci :: s.watches.(l);
-              match lit_value s c.lits.(0) with
-              | 2 ->
-                (* conflict: restore remaining watches first *)
-                List.iter (fun ci' -> s.watches.(l) <- ci' :: s.watches.(l)) rest;
-                s.qhead <- s.trail_size;
-                raise (Conflict ci)
-              | _ ->
-                enqueue s c.lits.(0) ci;
-                go rest
+            (* unit or conflict *)
+            link s w l;
+            if lit_value s a.(o) = 2 then begin
+              confl := ci;
+              s.qhead <- s.trail_size
             end
-          end)
-      in
-      go watching
-    done;
-    -1
-  with Conflict ci -> ci
+            else enqueue s a.(o) ci
+          end
+        end
+      end
+    done
+  done;
+  !confl
 
 (* --- conflict analysis (first UIP) ---------------------------------- *)
 
+(* The learnt clause is left in [abuf.(0 .. n-1)], asserting literal
+   first and the others newest first; returns [n]. *)
 let analyze s confl =
   let seen = s.seen in
-  let learnt = ref [] in
+  let n = ref 1 in
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
   let idx = ref (s.trail_size - 1) in
-  let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    let c = s.clauses.(!confl) in
+    let o = s.cstart.(!confl) in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c.lits - 1 do
-      let q = c.lits.(j) in
+    for j = start to s.clen.(!confl) - 1 do
+      let q = s.arena.(o + j) in
       let v = lit_var q in
       if Bytes.get seen v = '\000' && s.level.(v) > 0 then begin
         Bytes.set seen v '\001';
         bump_var s v;
         if s.level.(v) >= s.ndecisions then incr counter
         else begin
-          learnt := q :: !learnt;
-          if s.level.(v) > !btlevel then btlevel := s.level.(v)
+          s.abuf.(!n) <- q;
+          incr n
         end
       end
     done;
@@ -425,34 +477,45 @@ let analyze s confl =
     if !counter <= 0 then continue := false
     else confl := s.reason.(lit_var !p)
   done;
+  let a = s.abuf and n = !n in
   (* the trail walk cleared every current-level mark; clear the rest *)
-  List.iter (fun q -> Bytes.set seen (lit_var q) '\000') !learnt;
-  let learnt = lit_neg !p :: !learnt in
-  (learnt, !btlevel)
+  for i = 1 to n - 1 do
+    Bytes.set seen (lit_var a.(i)) '\000'
+  done;
+  for i = 1 to n / 2 do
+    let tmp = a.(i) in
+    a.(i) <- a.(n - i);
+    a.(n - i) <- tmp
+  done;
+  a.(0) <- lit_neg !p;
+  n
 
-let record_learnt s lits btlevel =
-  (* log a private copy: the stored clause's literal array is physically
-     reordered by watch maintenance during later propagation *)
-  log_step s (P_add (Array.of_list lits));
-  cancel_until s btlevel;
-  match lits with
-  | [] -> s.ok <- false
-  | [ l ] -> enqueue s l (-1)
-  | l :: _ ->
-    (* ensure second literal has the highest level among the rest for a
-       correct watch after backjump *)
-    let arr = Array.of_list lits in
+let record_learnt s n =
+  let a = s.abuf in
+  (* log a private copy: the stored clause is physically reordered by
+     watch maintenance during later propagation *)
+  if proof_enabled s then log_step s (P_add (Array.sub a 0 n));
+  if n = 1 then begin
+    cancel_until s 0;
+    enqueue s a.(0) (-1)
+  end
+  else begin
+    (* the literal of highest level among the rest becomes the second
+       watch, for a correct watch after backjump, and its level is the
+       backjump level *)
     let best = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if s.level.(lit_var arr.(i)) > s.level.(lit_var arr.(!best)) then best := i
+    for i = 2 to n - 1 do
+      if s.level.(lit_var a.(i)) > s.level.(lit_var a.(!best)) then best := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    let ci = push_clause s { lits = arr; learnt = true } in
+    let tmp = a.(1) in
+    a.(1) <- a.(!best);
+    a.(!best) <- tmp;
+    cancel_until s s.level.(lit_var a.(1));
+    let ci = push_clause s a n in
     s.nlearnts <- s.nlearnts + 1;
     watch_clause s ci;
-    enqueue s l ci
+    enqueue s a.(0) ci
+  end
 
 (* --- main loop ------------------------------------------------------ *)
 
@@ -472,13 +535,12 @@ let luby x =
   1 lsl !seq
 
 let decide s =
-  let rec pick () =
-    if s.heap_size = 0 then -1
-    else
-      let v = heap_pop s in
-      if s.assigns.(v) = 0 then v else pick ()
-  in
-  let v = pick () in
+  let v = ref (-1) in
+  while !v < 0 && s.heap_size > 0 do
+    let x = heap_pop s in
+    if s.assigns.(x) = 0 then v := x
+  done;
+  let v = !v in
   if v < 0 then -1
   else begin
     s.decisions <- s.decisions + 1;
@@ -576,8 +638,7 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
             result := Some Unsat
           end
           else begin
-            let learnt, btlevel = analyze s confl in
-            record_learnt s learnt btlevel;
+            record_learnt s (analyze s confl);
             decay_activities s;
             match over_budget () with
             | Some r ->

@@ -27,6 +27,12 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the instance: no variables, no clauses, no proof log, every
+    counter at 0, as after {!create}, but keeping the capacity of every
+    array.  A search on a reset instance is exactly the search on a fresh
+    one.  Safe after a {!solve} that raised. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
@@ -42,7 +48,8 @@ val add_clause : t -> int list -> unit
 val add_clause2 : t -> int -> int -> unit
 val add_clause3 : t -> int -> int -> int -> unit
 (** [add_clause] of a two- or three-literal clause, with no list and no
-    allocation beyond a stored clause's array — the blaster's path. *)
+    allocation at all (stored clauses go to an arena that grows by
+    doubling) — the blaster's path. *)
 
 val solve :
   ?assumptions:int array ->

@@ -189,6 +189,7 @@ end
 
 type ctx = {
   c_stats : stats;
+  c_scratch : Bitblast.ctx; (* the domain's scratch solver, reset per query *)
   c_cache : (int list, result) Lru.t;
   mutable c_capacity : int;
   mutable c_certify : bool;
@@ -198,6 +199,7 @@ type ctx = {
 
 let create_ctx () = {
   c_stats = fresh_stats ();
+  c_scratch = Bitblast.create ();
   c_cache = Lru.create 4096;
   c_capacity = default_cache_capacity;
   c_certify = false;
@@ -343,10 +345,18 @@ let apply_config cfg =
 
 (* --- the query pipeline ----------------------------------------------- *)
 
+(* Every scratch query reuses the domain's one blaster and SAT instance:
+   resetting keeps their arrays and tables, so a query allocates nothing
+   per clause and nothing per query that feeds the major heap (DESIGN
+   §5.12), and the search is the one a fresh instance makes.  The reset
+   comes first, so a query that raised (budget, hook, cancellation) leaves
+   nothing behind.  Nothing may issue a query while one is in flight on
+   the same domain — the query hook included. *)
 let run_sat ?(fire_hook = true) c budget conds =
   c.c_stats.sat_calls <- c.c_stats.sat_calls + 1;
   let t0 = Mono.now () in
-  let bctx = Bitblast.create ~proof:c.c_certify () in
+  let bctx = c.c_scratch in
+  Bitblast.reset ~proof:c.c_certify bctx;
   List.iter (Bitblast.assert_bool bctx) conds;
   (* the deadline is anchored before bit-blasting, so blast time counts
      against the same per-query budget as the search *)

@@ -80,7 +80,9 @@ val set_query_hook : (unit -> unit) -> unit
     this to deliver solver faults and clock jumps; install
     [(fun () -> ())] to remove.  An exception it raises propagates to the
     {!check} caller.  The hook is per-domain: a crosscheck worker
-    installing it for a pair's scope never perturbs other domains. *)
+    installing it for a pair's scope never perturbs other domains.  It
+    must not issue a solver query itself: it runs while the domain's
+    scratch solver holds the current query. *)
 
 (** {1 Cross-domain configuration hand-off} *)
 

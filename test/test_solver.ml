@@ -184,6 +184,195 @@ let prop_sat_vs_bruteforce =
       in
       got = brute)
 
+(* Search pins: the exact search the CDCL core makes on three fixed CNFs.
+   Conflicts, propagations and decisions move with any change in variable
+   numbering, clause order, watch order or conflict analysis, so a
+   rewrite of the core that claims to be search-preserving fails here and
+   not only in a report digest.  The figures were recorded on the
+   record-and-list core that the flat clause arena replaced. *)
+
+let pigeonhole_cnf pigeons holes =
+  let var p h = (p * holes) + h in
+  let each_pigeon = List.init pigeons (fun p -> List.init holes (fun h -> 2 * var p h)) in
+  let exclusions =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p1 ->
+            List.filter_map
+              (fun p2 ->
+                if p2 > p1 then Some [ (2 * var p1 h) + 1; (2 * var p2 h) + 1 ] else None)
+              (List.init pigeons Fun.id))
+          (List.init pigeons Fun.id))
+      (List.init holes Fun.id)
+  in
+  (pigeons * holes, each_pigeon @ exclusions)
+
+let random_3sat_cnf ~seed nvars nclauses =
+  let rng = Random.State.make [| seed |] in
+  ( nvars,
+    List.init nclauses (fun _ ->
+        List.init 3 (fun _ -> (2 * Random.State.int rng nvars) + Random.State.int rng 2)) )
+
+(* DIMACS, as written by the bit-blaster's dump: solver variable [v] is [v+1] *)
+let dimacs_cnf path =
+  let ic = open_in path in
+  let nvars = ref 0 and clauses = ref [] in
+  (try
+     while true do
+       let line = input_line ic in
+       match String.split_on_char ' ' (String.trim line) with
+       | "c" :: _ | [ "" ] -> ()
+       | [ "p"; "cnf"; v; _ ] -> nvars := int_of_string v
+       | toks ->
+         let lits = List.map int_of_string (List.filter (( <> ) "") toks) in
+         let lits = List.filter (( <> ) 0) lits in
+         clauses :=
+           List.map (fun d -> if d > 0 then 2 * (d - 1) else (2 * (-d - 1)) + 1) lits
+           :: !clauses
+     done
+   with End_of_file -> close_in ic);
+  (!nvars, List.rev !clauses)
+
+(* [conflicts; propagations; nvars; nclauses; decisions; true vars; a
+   weighted sum of the true vars] *)
+let search_of (nvars, clauses) =
+  let s = Sat.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
+  done;
+  List.iter (Sat.add_clause s) clauses;
+  let r = Sat.solve s in
+  let ones = ref 0 and weight = ref 0 in
+  if r = Sat.Sat then
+    for v = 0 to nvars - 1 do
+      if Sat.model_value s v then begin
+        incr ones;
+        weight := (!weight + (v * 7919)) mod 1_000_003
+      end
+    done;
+  let conflicts, propagations, nvars, nclauses = Sat.stats s in
+  (r, [ conflicts; propagations; nvars; nclauses; Sat.decisions s; !ones; !weight ])
+
+let test_search_pins () =
+  List.iter
+    (fun (name, cnf, want_r, want) ->
+      let r, got = search_of cnf in
+      check_bool (name ^ ": result") true (r = want_r);
+      Alcotest.(check (list int)) (name ^ ": search and model") want got)
+    [
+      ("pigeonhole 6->5", pigeonhole_cnf 6 5, Sat.Unsat, [ 166; 1926; 30; 243; 206; 0; 0 ]);
+      ( "random 3-SAT",
+        random_3sat_cnf ~seed:2012 150 630,
+        Sat.Sat,
+        [ 560; 18936; 150; 1177; 728; 63; 548286 ] );
+      ( "Packet Out path condition",
+        dimacs_cnf "cnf/packet_out_path.cnf",
+        Sat.Sat,
+        [ 4; 644; 547; 1354; 162; 150; 79354 ] );
+    ]
+
+(* The clause store allocates nothing per clause: literals go to an int
+   arena and watches are relinked nodes, so 20,000 stored binary clauses
+   and their search cost less than one minor-heap word each (the record,
+   array and two watch cells of a boxed store cost about 13).  Whatever
+   allocation remains is per variable or per solve.  Measured twice: on a
+   fresh instance, and on the same instance after [Sat.reset], which must
+   repeat the fresh search exactly. *)
+let test_clause_store_allocation () =
+  let nvars = 2001 and nclauses = 20_000 in
+  (* a hidden assignment satisfies every clause through its first literal *)
+  let lit v = if v mod 3 = 0 then 2 * v else (2 * v) + 1 in
+  let build_and_solve s =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    for i = 0 to nclauses - 1 do
+      let a = i * 7919 mod nvars in
+      let b = (a + 1 + (i mod 997)) mod nvars in
+      let lb = if i mod 2 = 0 then lit b else Sat.lit_neg (lit b) in
+      Sat.add_clause2 s (lit a) lb
+    done;
+    let r = Sat.solve s in
+    let words = Gc.minor_words () -. w0 in
+    (r, Sat.stats s, Sat.decisions s, words)
+  in
+  let s = Sat.create () in
+  let ((r, stats, decisions, _) as fresh) = build_and_solve s in
+  Sat.reset s;
+  let ((r', stats', decisions', _) as recycled) = build_and_solve s in
+  check_bool "satisfiable" true (r = Sat.Sat);
+  check_bool "the reset instance repeats the fresh search" true
+    ((r, stats, decisions) = (r', stats', decisions'));
+  List.iter
+    (fun (what, (_, _, _, words)) ->
+      if words >= float_of_int nclauses then
+        Alcotest.failf "%s instance: %.0f minor words for %d clauses" what words nclauses)
+    [ ("fresh", fresh); ("reset", recycled) ]
+
+(* The domain's scratch solver is reset, not recreated, for every query:
+   whatever earlier queries left in it (a budget Unknown, a query hook that
+   raised after blasting, a certify-mode proof log) must not change an
+   answer.  Each answer is compared, result and model bindings, with a
+   solve on a fresh blaster. *)
+let fresh_answer ?(proof = false) ?max_conflicts conds =
+  let conds = List.filter (fun c -> not (Expr.is_true c)) conds in
+  if List.exists Expr.is_false conds then `Unsat
+  else if conds = [] then `Sat []
+  else begin
+    let b = Bitblast.create ~proof () in
+    List.iter (Bitblast.assert_bool b) conds;
+    match Sat.solve ?max_conflicts b.Bitblast.sat with
+    | Sat.Sat ->
+      `Sat
+        (List.map
+           (fun (v, x) -> (Expr.var_id v, x))
+           (Model.bindings (Bitblast.extract_model b)))
+    | Sat.Unsat -> `Unsat
+    | Sat.Unknown _ -> `Unknown
+  end
+
+let scratch_answer ?max_conflicts conds =
+  let budget = Solver.budget ?max_conflicts () in
+  match Solver.check ~use_cache:false ~use_interval:false ~budget conds with
+  | Solver.Sat m -> `Sat (List.map (fun (v, x) -> (Expr.var_id v, x)) (Model.bindings m))
+  | Solver.Unsat -> `Unsat
+  | Solver.Unknown (Solver.Proof_failed msg) -> Alcotest.failf "proof rejected: %s" msg
+  | Solver.Unknown _ -> `Unknown
+
+let prop_recycled_scratch_matches_fresh =
+  QCheck2.Test.make ~name:"recycled scratch solver answers as a fresh one" ~count:60
+    QCheck2.Gen.(
+      let* w = oneofl [ 4; 8; 16 ] in
+      list_size (int_range 2 8) (list_size (int_range 1 4) (Gen.bool_gen ~max_depth:2 w)))
+    (fun queries ->
+      let certify0 = Solver.certify_enabled () in
+      Fun.protect
+        ~finally:(fun () ->
+          Solver.set_query_hook (fun () -> ());
+          Solver.set_certify certify0)
+        (fun () ->
+          List.for_all
+            (fun (k, conds) ->
+              (match k mod 4 with
+               | 1 ->
+                 (* a budget stop leaves a half-searched instance behind *)
+                 if scratch_answer ~max_conflicts:0 conds <> fresh_answer ~max_conflicts:0 conds
+                 then QCheck2.Test.fail_report "budgeted answer differs"
+               | 2 ->
+                 (* the hook fires after blasting, before the search *)
+                 Solver.set_query_hook (fun () -> raise Exit);
+                 (try ignore (scratch_answer conds) with Exit -> ());
+                 Solver.set_query_hook (fun () -> ())
+               | 3 -> Solver.set_certify (not certify0)
+               | _ -> ());
+              let proof = Solver.certify_enabled () in
+              let ok = scratch_answer conds = fresh_answer ~proof conds in
+              Solver.set_certify certify0;
+              ok)
+            (List.mapi (fun k q -> (k, q)) queries)))
+
 (* --- bitvector layer -------------------------------------------------- *)
 
 let test_arith_solving () =
@@ -342,6 +531,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sat_vs_bruteforce;
     Alcotest.test_case "clause normalisation, every entry" `Quick test_clause_normalisation;
     Alcotest.test_case "original clauses as given" `Quick test_original_clauses_as_given;
+    Alcotest.test_case "search pins" `Quick test_search_pins;
+    Alcotest.test_case "clause store allocation" `Quick test_clause_store_allocation;
+    QCheck_alcotest.to_alcotest prop_recycled_scratch_matches_fresh;
     QCheck_alcotest.to_alcotest prop_fixed_arity_matches_list;
     Alcotest.test_case "arithmetic system" `Quick test_arith_solving;
     Alcotest.test_case "unsat ranges" `Quick test_unsat_range;
