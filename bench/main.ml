@@ -704,12 +704,12 @@ let parallel_crosscheck () =
   end
 
 (* ---------------------------------------------------------------------- *)
-(* Incremental crosscheck: scratch per-pair solving vs row-major sessions *)
+(* Incremental crosscheck: scratch per-pair solving vs template rows *)
 
 let incremental_crosscheck () =
   header
-    "Incremental crosscheck: per-pair scratch instances vs row-major sessions \
-     (row-conjunct blasting + learnt-clause reuse)";
+    "Incremental crosscheck: per-pair scratch instances vs template rows \
+     (B side blasted once, learnt-clause reuse within a row)";
   Printf.printf "%-14s %7s | %9s %9s | %9s %9s | %7s | %6s %8s\n" "Test" "pairs"
     "t(scratch)" "pairs/s" "t(incr)" "pairs/s" "speedup" "reuse" "learnt";
   let tests = [ Spec.eth_flow_mod (); Spec.cs_flow_mods (); Spec.short_symb () ] in
@@ -740,7 +740,7 @@ let incremental_crosscheck () =
       let b = Soft.Grouping.of_run (get_run spec (List.nth agents 2)) in
       let measure incremental =
         (* cold memo cache on both sides: the amortization under test is
-           the in-session reuse, not warm whole-query memo hits *)
+           the template and row reuse, not warm whole-query memo hits *)
         Smt.Solver.clear_cache ();
         Soft.Crosscheck.check ~jobs:1 ~incremental a b
       in
@@ -760,8 +760,8 @@ let incremental_crosscheck () =
       let learnt = st.Smt.Solver.learnt_retained - learnt_before in
       let assumes = st.Smt.Solver.assumption_solves - assumes_before in
       let sessions = st.Smt.Solver.sessions_opened - sessions_before in
-      (* fraction of session queries that rode on an already-blasted row
-         conjunct (each session's base blast is charged to its first query) *)
+      (* fraction of row solves that rode on an already-blasted template
+         (each template's blast is charged to its first solve) *)
       let reuse =
         if assumes > 0 then float_of_int (assumes - sessions) /. float_of_int assumes
         else 0.0

@@ -152,8 +152,8 @@ let no_incremental =
     & info [ "no-incremental" ]
         ~doc:
           "Solve every crosscheck pair on a fresh SAT instance instead of the \
-           default all-SAT row queries on incremental block sessions (shared \
-           bit-blasting, assumption literals, learnt-clause reuse).  Reports \
+           default all-SAT row queries on rows restored from a template \
+           (B's conditions blasted once, learnt-clause reuse within a row).  Reports \
            are byte-identical either way; this is an escape hatch for \
            isolating solver issues and for benchmarking the amortization.")
 

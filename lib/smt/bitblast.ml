@@ -1,7 +1,11 @@
 (* Tseitin bit-blasting of bitvector expressions to CNF over a [Sat.t]
    instance.  Bit order is LSB-first throughout.  Blasting is memoized per
    expression id (hash-consing makes this effective across the shared
-   sub-structure of a path condition). *)
+   sub-structure of a path condition).
+
+   A row context ([restore]) blasts on top of a frozen template: its
+   instance starts as a copy of the template's, a local miss reads the
+   template's tables, and only the local ones are written. *)
 
 type ctx = {
   sat : Sat.t;
@@ -9,6 +13,7 @@ type ctx = {
   bv_memo : (int, int array) Hashtbl.t;
   bool_memo : (int, int) Hashtbl.t;
   var_bits : (int, int array) Hashtbl.t; (* Expr var id -> sat vars *)
+  mutable template : ctx option; (* a row context's template, read only *)
 }
 
 (* [proof] must be decided on an empty instance: the [tru] clause below is
@@ -30,6 +35,7 @@ let create ?(proof = false) () =
     bv_memo = Hashtbl.create 512;
     bool_memo = Hashtbl.create 512;
     var_bits = Hashtbl.create 64;
+    template = None;
   }
 
 (* Back to the state of [create ~proof ()], for a scratch solver reused
@@ -42,6 +48,23 @@ let reset ?(proof = false) ctx =
   Hashtbl.reset ctx.bool_memo;
   Hashtbl.reset ctx.var_bits;
   ignore (start ctx.sat proof : int)
+
+(* Make [row] a row context over [template], which nothing may write to
+   from then on.  The local tables are cleared, not shrunk: nothing
+   iterates them, and a recycled row keeps their buckets.  Both contexts'
+   [tru] is variable 0. *)
+let restore row ~template =
+  Sat.restore row.sat ~from:template.sat;
+  Hashtbl.clear row.bv_memo;
+  Hashtbl.clear row.bool_memo;
+  Hashtbl.clear row.var_bits;
+  row.template <- Some template
+
+(* The local table, then the template's. *)
+let find ctx tbl key =
+  match (Hashtbl.find_opt (tbl ctx) key, ctx.template) with
+  | None, Some t -> Hashtbl.find_opt (tbl t) key
+  | hit, _ -> hit
 
 let lit_neg = Sat.lit_neg
 
@@ -157,7 +180,7 @@ let flip_sign bits =
 (* --- expression blasting ---------------------------------------------- *)
 
 let rec blast_bv ctx (e : Expr.bv) =
-  match Hashtbl.find_opt ctx.bv_memo e.id with
+  match find ctx (fun c -> c.bv_memo) e.id with
   | Some bits -> bits
   | None ->
     (* Poll on every memo miss: a pathological blast (wide multiplies,
@@ -169,7 +192,7 @@ let rec blast_bv ctx (e : Expr.bv) =
       | Expr.Const c -> bits_of_const ctx e.width c
       | Expr.Var v ->
         let vid = Expr.var_id v in
-        (match Hashtbl.find_opt ctx.var_bits vid with
+        (match find ctx (fun c -> c.var_bits) vid with
          | Some sat_vars -> Array.map (fun sv -> 2 * sv) sat_vars
          | None ->
            let sat_vars = Array.init e.width (fun _ -> Sat.new_var ctx.sat) in
@@ -240,7 +263,7 @@ and blast_binop ctx op a b =
     !stages
 
 and blast_bool ctx (b : Expr.boolean) =
-  match Hashtbl.find_opt ctx.bool_memo b.bid with
+  match find ctx (fun c -> c.bool_memo) b.bid with
   | Some l -> l
   | None ->
     Cancel.poll ();
@@ -267,7 +290,8 @@ and blast_bool ctx (b : Expr.boolean) =
 let assert_bool ctx b = Sat.add_clause ctx.sat [ blast_bool ctx b ]
 
 (* Extract concrete values for every [Expr] variable that appeared in the
-   blasted constraints, reading the SAT model. *)
+   blasted constraints, reading the SAT model (a row context's own
+   variables only). *)
 let extract_model ctx =
   let model = Model.empty () in
   Hashtbl.iter

@@ -7,8 +7,7 @@
    them, and each call may carry assumption literals that are decided
    first (at their own decision levels) and hold only for that call.
    Learnt clauses, variable activities and saved phases all persist from
-   one [solve] to the next — that retention is what the crosscheck's
-   row-major sessions amortize.
+   one [solve] to the next — what the solves of one crosscheck row share.
 
    Literal encoding: variable [v] yields literals [2*v] (positive) and
    [2*v+1] (negated).
@@ -142,6 +141,52 @@ let reset s =
   s.propagations <- 0;
   s.decisions <- 0;
   s.nlearnts <- 0;
+  s.proof <- None
+
+(* Turn [s] into a copy of [t] by blits: a row instance recycled across a
+   template's rows (DESIGN §5.11).  Every slot [s] used past [t]'s
+   variables goes back to its [create] value, which [new_var] relies on
+   ([heap_insert] skips a set [heap_pos]; a stale [whead] corrupts a watch
+   chain).  An array shorter than [t]'s is replaced at [t]'s length. *)
+let restore s ~from:t =
+  let nv = t.nvars and old = s.nvars in
+  (* [a] holding [src]'s first [n] slots, and [d] from there up to [upto] *)
+  let copy a src n upto d =
+    let a = if Array.length a >= Array.length src then a else Array.make (Array.length src) d in
+    Array.blit src 0 a 0 n;
+    if upto > n then Array.fill a n (upto - n) d;
+    a
+  in
+  s.assigns <- copy s.assigns t.assigns nv old 0;
+  s.level <- copy s.level t.level nv old 0;
+  s.reason <- copy s.reason t.reason nv old (-1);
+  s.activity <- copy s.activity t.activity nv old 0.0;
+  s.polarity <- copy s.polarity t.polarity nv old false;
+  s.heap_pos <- copy s.heap_pos t.heap_pos nv old (-1);
+  s.whead <- copy s.whead t.whead (2 * nv) (2 * old) (-1);
+  s.trail <- copy s.trail t.trail t.trail_size 0 0;
+  s.trail_lim <- copy s.trail_lim t.trail_lim t.ndecisions 0 0;
+  s.abuf <- copy s.abuf t.abuf 0 0 0;
+  s.heap <- copy s.heap t.heap t.heap_size 0 0;
+  s.arena <- copy s.arena t.arena t.arena_top 0 0;
+  s.cstart <- copy s.cstart t.cstart t.nclauses 0 0;
+  s.clen <- copy s.clen t.clen t.nclauses 0 0;
+  s.wnext <- copy s.wnext t.wnext (2 * t.nclauses) 0 (-1);
+  if Bytes.length s.seen < Bytes.length t.seen then s.seen <- Bytes.copy t.seen
+  else Bytes.fill s.seen 0 old '\000';
+  s.nvars <- nv;
+  s.arena_top <- t.arena_top;
+  s.nclauses <- t.nclauses;
+  s.trail_size <- t.trail_size;
+  s.ndecisions <- t.ndecisions;
+  s.qhead <- t.qhead;
+  s.var_inc <- t.var_inc;
+  s.heap_size <- t.heap_size;
+  s.ok <- t.ok;
+  s.conflicts <- t.conflicts;
+  s.propagations <- t.propagations;
+  s.decisions <- t.decisions;
+  s.nlearnts <- t.nlearnts;
   s.proof <- None
 
 (* --- proof logging --------------------------------------------------- *)

@@ -5,8 +5,7 @@
     repeatedly, {!add_clause}/{!new_var} may be interleaved between calls,
     and each call may carry {e assumption} literals that hold for that
     call only.  Learnt clauses, variable activities and saved phases
-    persist across calls — the retention the crosscheck's row sessions
-    amortize.
+    persist across calls — what the solves of one crosscheck row share.
 
     Literal encoding: variable [v] yields literal [2*v] (positive) and
     [2*v+1] (negated). *)
@@ -32,6 +31,12 @@ val reset : t -> unit
     counter at 0, as after {!create}, but keeping the capacity of every
     array.  A search on a reset instance is exactly the search on a fresh
     one.  Safe after a {!solve} that raised. *)
+
+val restore : t -> from:t -> unit
+(** [restore s ~from:t] makes [s] a copy of [t] (no proof log), whatever
+    [s] held, by blits: once [s] has [t]'s capacity it allocates nothing,
+    and a search on [s] is the search on [t].  [t] is only read, so
+    several domains may restore from one instance nobody writes to. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
@@ -73,7 +78,7 @@ val solve :
     unwound to decision level 0). *)
 
 val learnt_count : t -> int
-(** Learnt clauses currently in the database — what an incremental session
+(** Learnt clauses currently in the database — what a crosscheck row
     carries from one solve into the next. *)
 
 val model_value : t -> int -> bool

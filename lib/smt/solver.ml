@@ -398,7 +398,7 @@ let run_sat ?(fire_hook = true) c budget conds =
    [settle] is everything after it: result counters, the model sanity
    check and memoization.  [check_with] runs the two halves around a
    pluggable core; the crosscheck's all-SAT row query runs [front] per
-   pair, decides the survivors of a whole row in one session query, and
+   pair, decides the survivors of a whole row in one row query, and
    [settle]s each pair's answer, so both see one set of stats and memo
    rules. *)
 type pending = { p_conds : Expr.boolean list; p_key : int list; p_use_cache : bool }
@@ -474,7 +474,7 @@ let settle p r =
 
 (* [core budget conds] is invoked only for queries that survive the front
    half.  [check] instantiates it with the scratch SAT core;
-   [Session.check] with an incremental assumption solve. *)
+   [Session.pair] with an assumption solve on a template row. *)
 let check_with ?use_interval ?use_cache ?budget ~core conds =
   let budget = resolve_budget budget in
   match front ?use_interval ?use_cache conds with
@@ -487,10 +487,10 @@ let check ?use_interval ?use_cache ?budget conds =
     conds
 
 (* A raw scratch SAT solve on the calling domain's context, bypassing the
-   frontend pipeline.  [fire_hook=false] suppresses the query hook: the
-   incremental session uses this to re-derive the witness scratch mode
-   would publish without consuming a fault-injection draw the scratch
-   mode would not consume. *)
+   frontend pipeline.  [fire_hook=false] suppresses the query hook: a
+   template row uses this to re-derive the witness scratch mode would
+   publish without consuming a fault-injection draw the scratch mode
+   would not consume. *)
 let solve_scratch ?fire_hook budget conds = run_sat ?fire_hook (ctx ()) budget conds
 
 let run_query_hook () = (ctx ()).c_hook ()

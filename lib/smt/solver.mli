@@ -110,8 +110,8 @@ type stats = {
   mutable interval_hits : int;  (** answered by the interval filter *)
   mutable cache_hits : int;
   mutable sat_calls : int;
-      (** CDCL solves: one per scratch core solve (a session's witness
-          confirm included) and one per session assumption solve.  An
+      (** CDCL solves: one per scratch core solve (a row's witness
+          confirm included) and one per solve on a template row.  An
           all-SAT row query decides many queries per solve, so this is
           not a per-query count *)
   mutable sat_results : int;
@@ -123,19 +123,20 @@ type stats = {
   mutable proofs_checked : int;  (** certify mode: Unsat proofs validated *)
   mutable proofs_failed : int;  (** certify mode: proofs the checker rejected *)
   mutable sessions_opened : int;
-      (** incremental sessions created: one per crosscheck block on the
-          all-SAT path, one per row on the per-pair path *)
+      (** {!Session.template}s built: one per crosscheck that solves on
+          template rows, whatever its rows and [-j] *)
   mutable assumption_solves : int;
-      (** in-session assumption solves: one per {!Session.check} query,
-          and one per solve of an all-SAT row query (a row costs the
-          models it finds plus a final Unsat) *)
+      (** solves on a template row: one per {!Session.pair} query that
+          reaches the core, and one per solve of an all-SAT row query (a
+          row costs the models it finds plus a final Unsat) *)
   mutable scratch_fallbacks : int;
-      (** crosscheck pairs re-run down the scratch ladder after a
-          session Unknown *)
+      (** crosscheck pairs re-run down the scratch ladder after a row
+          Unknown *)
   mutable tiny_session_fallbacks : int;  (** always 0; kept because softbench reads it *)
   mutable learnt_retained : int;
-      (** learnt clauses already in a session's database when an
-          assumption solve started, summed over solves *)
+      (** learnt clauses already in a row's database when one of its
+          solves started, summed over solves: what the solves of one row
+          hand on, since every row starts from the template with none *)
   mutable canonical_hits : int;  (** always 0; kept because softbench reads it *)
   mutable canon_small_skips : int;  (** always 0; kept because softbench reads it *)
   mutable rows_pruned : int;  (** always 0; kept because softbench reads it *)
@@ -208,7 +209,8 @@ val check_with :
     (constant folding, memo cache, interval filter, result sanity check
     and caching) runs as usual, and [core budget conds] decides the
     queries that survive it.  [check] is [check_with] over the scratch
-    SAT core; {!Session.check} supplies an incremental assumption solve.
+    SAT core; {!Session.pair} supplies an assumption solve on a template
+    row.
     Sharing the front half is what keeps the two modes' query streams —
     and hence their fault-injection draws and memo behaviour —
     identical. *)
@@ -248,16 +250,14 @@ val solve_scratch : ?fire_hook:bool -> budget -> Expr.boolean list -> result
 (** A raw scratch SAT solve (blast + CDCL + certify-mode proof check) on
     the calling domain's context, bypassing constant folding, the cache
     and the interval filter.  [fire_hook] (default true) controls whether
-    the {!set_query_hook} closure runs; the incremental session passes
-    [false] when re-deriving the witness scratch mode would publish, so it
-    does not consume a fault-injection draw scratch mode would not
-    consume. *)
+    the {!set_query_hook} closure runs; a template row passes [false]
+    when re-deriving the witness scratch mode would publish, so it does
+    not consume a fault-injection draw scratch mode would not consume. *)
 
 val run_query_hook : unit -> unit
 (** Fire the calling domain's query hook, exactly as a query reaching the
-    SAT core would.  The incremental session calls this once per
-    assumption solve to keep the fault-injection stream aligned with
-    scratch mode. *)
+    SAT core would.  A template row calls this once per solve to keep
+    the fault-injection stream aligned with scratch mode. *)
 
 val is_sat :
   ?use_interval:bool -> ?use_cache:bool -> ?budget:budget -> Expr.boolean list -> bool

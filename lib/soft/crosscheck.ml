@@ -22,17 +22,16 @@
    - periodic checkpoints, so a killed multi-hour crosscheck resumes where
      it left off instead of starting over.
 
-   And one amortization: rows are cut into at most 16 fixed blocks, each
-   one pool task on one incremental {!Smt.Session}.  Each C_B(j) is
-   blasted once per block under a selector, each C_A(i) under a row
-   guard, and a row asks for "some selector" until Unsat
-   ({!Session.all_sat}); learnt clauses carry across the block.  That is
-   the fast path, at every budget and every [-j].  Under a chaos plan or
-   supervision, whose fault streams are defined per pair, pairs are
-   solved one at a time on per-row sessions.  The per-pair scratch loop
-   ([~incremental:false]) is the reference both are tested against, and
-   also serves certify mode, [?split] and budget Unknowns.  Reports are
-   byte-identical either way (see [session.ml]).
+   And one amortization: every C_B(j) is blasted once per check, under a
+   selector, into a frozen {!Smt.Session.template}.  Each row restores a
+   recycled per-domain instance from it, asserts C_A(i) and asks for
+   "some selector" until Unsat ({!Session.all_sat}).  That is the fast
+   path, at every budget and every [-j].  Under a chaos plan or
+   supervision, whose fault streams are defined per pair, the pairs of a
+   restored row are solved one at a time ({!Session.pair}).  The per-pair
+   scratch loop ([~incremental:false]) is the reference both are tested
+   against, and also serves certify mode, [?split] and budget Unknowns.
+   Reports are byte-identical either way (see [session.ml]).
 
    [check] runs in four stages: classify (row-major pair collection),
    solve (one pool task per block), record (serialized on the calling
@@ -462,27 +461,28 @@ let guard_pair ~key f =
   | v -> F_ok v
   | exception (Solver.Solver_error _ | Chaos.Injected_fault _) -> F_fault
 
-(* Stage 2 — solve.  The solve stage has two shapes:
-   - all-SAT (the fast path): rows are cut into at most [block_count]
-     contiguous blocks (a constant, never derived from [-j]); each block
-     is one pool task on one {!Smt.Session}.  Every pair still runs the
-     solver's front half ({!Solver.front}: constant folding, exact memo,
-     interval filter); the survivors of a row are decided together by one
-     {!Session.all_sat} query, which costs one solve per model found plus
-     a final Unsat instead of one solve per pair.  B's conditions are
-     blasted once per block.  A budget Unknown decides the rest of the
-     row pair by pair on the same session, and a pair still Unknown goes
-     down the scratch ladder.
+(* Stage 2 — solve.  B's conditions are blasted once into a template on
+   the calling domain, before the pool runs; rows are cut into at most
+   [block_count] contiguous blocks (a constant, never derived from [-j]),
+   each one pool task.  The solve stage has two shapes:
+   - all-SAT (the fast path): every pair still runs the solver's front
+     half ({!Solver.front}: constant folding, exact memo, interval
+     filter); the survivors of a row are decided together on a row
+     restored from the template by one {!Session.all_sat} query, which
+     costs one solve per model found plus a final Unsat instead of one
+     solve per pair.  A budget Unknown decides the rest of the row pair
+     by pair on the same row, and a pair still Unknown goes down the
+     scratch ladder.
    - per pair: each pair gets its own attempt.  This is the shape under a
      chaos plan or supervision, whose fault streams, draw table and
-     explore corpus are all defined per pair.  A row session decides
-     each pair under an activation literal, and [~incremental:false],
-     [?split] and certify mode use {!sat_pair} on fresh instances (the
-     reference path; an assumption-failure Unsat has no replayable DRUP
-     proof).
-   Blocks are fixed, and every session lives and dies inside one task, so
-   verdicts — budgeted Unknowns included — do not depend on how tasks
-   were scheduled. *)
+     explore corpus are all defined per pair.  A restored row decides
+     each pair by one assumption solve ({!Session.pair}), and
+     [~incremental:false], [?split] and certify mode use {!sat_pair} on
+     fresh instances (the reference path; an assumption-failure Unsat has
+     no replayable DRUP proof).
+   Every row starts from a clean copy of the template, so verdicts —
+   budgeted Unknowns included — do not depend on how tasks were
+   scheduled. *)
 let block_count = 16
 
 let blocks rows =
@@ -495,9 +495,9 @@ let fallback () =
   let st = Solver.stats () in
   st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1
 
-(* One row on the block's session.  A soundness error costs the row's
-   pairs their verdicts (degraded to faulted), never the run. *)
-let all_sat_row s ?budget ?retry groups_a groups_b (i, js) =
+(* One row on the template.  A soundness error costs the row's pairs
+   their verdicts (degraded to faulted), never the run. *)
+let all_sat_row t ?budget ?retry groups_a groups_b (i, js) =
   let ga = groups_a.(i) in
   let verdict j = function
     | Solver.Sat witness -> Pair_sat witness
@@ -514,7 +514,7 @@ let all_sat_row s ?budget ?retry groups_a groups_b (i, js) =
       List.filter_map (function j, Solver.Pending p -> Some (j, p) | _, Solver.Decided _ -> None) fronts
     in
     let answers =
-      Session.all_sat ?budget s ga.Grouping.g_cond
+      Session.all_sat ?budget t ga.Grouping.g_cond
         (List.map (fun (j, p) -> (groups_b.(j).Grouping.g_cond, p)) pending)
     in
     let answers = List.combine (List.map fst pending) answers in
@@ -529,27 +529,25 @@ let all_sat_row s ?budget ?retry groups_a groups_b (i, js) =
 
 (* One row, pair by pair.  Without supervision ([sup = None]) every pair
    gets one guarded attempt.  With it, each attempt runs under a watchdog
-   token and the retry/backoff/quarantine ladder; retries leave the
-   session (a killed attempt may have left half-blasted, inactive clauses
-   behind) and rerun from scratch, and a watchdog kill of the session's
-   own base blast sends the whole row down the scratch path instead of
+   token and the retry/backoff/quarantine ladder; retries leave the row
+   and rerun from scratch, and a watchdog kill of the row's own restore
+   and blast sends the whole row down the scratch path instead of
    killing it. *)
-let per_pair_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
+let per_pair_row ~sup ~template ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
   let ga = groups_a.(i) in
   let scratch j = sat_pair ?split ?budget ?retry ga groups_b.(j) in
-  let session =
-    if not use_session then None
-    else
-      let open_session () = Session.create [ ga.Grouping.g_cond ] in
-      match sup with
-      | None -> Some (open_session ())
-      | Some sup -> Result.to_option (Supervise.run sup open_session)
+  let row =
+    Option.bind template (fun t ->
+        let open_row () = Session.row t ga.Grouping.g_cond in
+        match sup with
+        | None -> Some (open_row ())
+        | Some sup -> Result.to_option (Supervise.run sup open_row))
   in
   let first_attempt j =
-    match session with
+    match row with
     | None -> scratch j
-    | Some s -> (
-      match Session.check ?budget s [ ga.Grouping.g_cond; groups_b.(j).Grouping.g_cond ] with
+    | Some r -> (
+      match Session.pair ?budget r groups_b.(j).Grouping.g_cond with
       | Solver.Sat witness -> Pair_sat witness
       | Solver.Unsat -> Pair_unsat
       | Solver.Unknown _ ->
@@ -573,15 +571,14 @@ let per_pair_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a grou
 
 (* One block task; pure apart from solver state local to the calling
    domain, so it may run on any pool worker. *)
-let solve_block ~sup ~use_session ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b
+let solve_block ~sup ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b
     block =
   let rows = Array.to_list block in
-  if all_sat then
-    let s = Session.create [] in
-    List.concat_map (all_sat_row s ?budget ?retry groups_a groups_b) rows
-  else
+  match template with
+  | Some t when all_sat -> List.concat_map (all_sat_row t ?budget ?retry groups_a groups_b) rows
+  | _ ->
     List.concat_map
-      (per_pair_row ~sup ~use_session ?split ?budget ?retry ~pair_key groups_a groups_b)
+      (per_pair_row ~sup ~template ?split ?budget ?retry ~pair_key groups_a groups_b)
       rows
 
 (* Stage 4 — emit, row-major again: the reported lists depend only on the
@@ -688,8 +685,14 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
     let fate = if supervised then F_quarantine (tax, msg) else F_fault in
     Array.iter (fun (i, js) -> List.iter (fun j -> record (i, j) (fate, 0)) js) block
   in
-  let use_session = incremental && split = None && not (Solver.certify_enabled ()) in
-  let all_sat = use_session && supervise = None && Chaos.current () = None in
+  let all_sat = supervise = None && Chaos.current () = None in
+  let template =
+    if incremental && split = None && rows <> [||] && not (Solver.certify_enabled ()) then
+      (* the B side of every row, in ascending [j], blasted once *)
+      let js = List.sort_uniq compare (List.concat_map snd (Array.to_list rows)) in
+      Some (Session.template (List.map (fun j -> groups_b.(j).Grouping.g_cond) js))
+    else None
+  in
   let pair_key (i, j) = (i * Array.length groups_b) + j in
   let worker_init, worker_exit = solver_pool_hooks () in
   let tasks = blocks rows in
@@ -701,7 +704,7 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
            | Error (e, _) ->
              record_task_crash ~supervised:(sup <> None) tasks.(k) e)
          ~jobs
-         (solve_block ~sup ~use_session ~all_sat ?split ?budget ?retry ~pair_key groups_a
+         (solve_block ~sup ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a
             groups_b)
          tasks)
   in

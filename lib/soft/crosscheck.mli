@@ -10,9 +10,10 @@
     dropped, and periodic checkpoints so a killed run resumes.
 
     Every differing pair is one frontend query, but the default back end
-    decides a whole row's surviving pairs with one all-SAT query on an
-    incremental {!Smt.Session} shared by a block of rows, so SAT calls
-    scale with rows plus inconsistencies, not with pairs.  Per-pair
+    decides a whole row's surviving pairs with one all-SAT query on a row
+    restored from a template holding B's conditions, blasted once per
+    check ({!Smt.Session}), so SAT calls scale with rows plus
+    inconsistencies, not with pairs.  Per-pair
     scratch instances are the reference path (see [incremental] below). *)
 
 type inconsistency = {
@@ -139,21 +140,22 @@ val check :
     completion order when [jobs > 1].  [jobs = 1] runs everything on the
     calling domain, exactly as before.
 
-    [incremental] (default true): cut the rows into at most 16 contiguous
-    blocks of [⌈rows/16⌉] rows (a constant, never derived from [jobs]);
-    each block is one pool task on one {!Smt.Session}.  Each pair still
-    runs the solver's front half (constant folding, exact memo, interval
-    filter); a row's survivors are then decided by one
-    {!Smt.Session.all_sat} query, which blasts each [C_B(j)] once per
-    block and costs one solve per model found plus a final Unsat.  Every
-    pair it decides is memoized, so a warm re-run makes no SAT call.  A
-    budget [Unknown] decides the rest of the row pair by pair on the same
-    session, and a pair still [Unknown] falls back to the scratch retry
-    ladder (counted in [scratch_fallbacks]).  Blocks are fixed and each
-    session lives and dies inside its task, so even budgeted verdicts do
-    not depend on scheduling.  Under a chaos plan or [supervise], whose
-    fault streams are defined per pair, each pair is decided on its own
-    (on a per-row session).  Reports are byte-identical to
+    [incremental] (default true): blast every [C_B(j)] once, on the
+    calling domain, into a frozen {!Smt.Session.template}, and cut the
+    rows into at most 16 contiguous blocks of [⌈rows/16⌉] rows (a
+    constant, never derived from [jobs]), each one pool task.  Each pair
+    still runs the solver's front half (constant folding, exact memo,
+    interval filter); a row's survivors are then decided on a row
+    restored from the template by one {!Smt.Session.all_sat} query, which
+    costs one solve per model found plus a final Unsat.  Every pair it
+    decides is memoized, so a warm re-run makes no SAT call.  A budget
+    [Unknown] decides the rest of the row pair by pair on the same row,
+    and a pair still [Unknown] falls back to the scratch retry ladder
+    (counted in [scratch_fallbacks]).  Every row starts from a clean copy
+    of the template, so even budgeted verdicts do not depend on
+    scheduling.  Under a chaos plan or [supervise], whose fault streams
+    are defined per pair, each pair of a restored row is decided on its
+    own ({!Smt.Session.pair}).  Reports are byte-identical to
     [~incremental:false], the per-pair scratch reference path: Sat
     witnesses are re-derived canonically from scratch (see
     {!Smt.Session}).  An explicit [split] or an enabled certify regime

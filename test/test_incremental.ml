@@ -1,7 +1,7 @@
 (* Incremental crosscheck: MiniSat-style assumption solving in the SAT
-   core, the session layer's equivalence with scratch solving, and the
+   core, template rows' equivalence with scratch solving, and the
    end-to-end claim — a crosscheck report is byte-identical whether the
-   pairs were solved on per-row incremental sessions (the default) or on
+   pairs were solved on rows restored from a template (the default) or on
    fresh per-pair instances, across randomized pair matrices, chaos
    seeds, certify mode, and worker counts. *)
 
@@ -61,7 +61,7 @@ let test_sat_incremental_growth () =
   check_bool "a globally unsat instance stays unsat" true
     (Sat.solve ~assumptions:[| 2 * v1 |] s = Sat.Unsat)
 
-(* --- the session layer ------------------------------------------------- *)
+(* --- template rows ------------------------------------------------------ *)
 
 let vars = lazy (List.map (fun n -> Expr.var ~width:8 ("inc." ^ n)) [ "x"; "y"; "z" ])
 
@@ -81,20 +81,23 @@ let test_session_matches_scratch_queries () =
       let rng = Random.State.make [| 42 |] in
       for _ = 1 to 6 do
         let base = Expr.balanced_disj (List.init 3 (fun _ -> random_cond rng)) in
-        let session = Session.create [ base ] in
-        for _ = 1 to 12 do
-          let extra = Expr.balanced_disj (List.init 2 (fun _ -> random_cond rng)) in
-          Solver.clear_cache ();
-          let r_inc = Session.check session [ base; extra ] in
-          Solver.clear_cache ();
-          let r_scr = Solver.check [ base; extra ] in
-          match (r_inc, r_scr) with
-          | Solver.Sat m1, Solver.Sat m2 ->
-            check_bool "session publishes the scratch witness" true
-              (Model.bindings m1 = Model.bindings m2)
-          | Solver.Unsat, Solver.Unsat -> ()
-          | _ -> Alcotest.fail "session verdict differs from scratch"
-        done
+        let extras =
+          List.init 12 (fun _ -> Expr.balanced_disj (List.init 2 (fun _ -> random_cond rng)))
+        in
+        let row = Session.row (Session.template extras) base in
+        List.iter
+          (fun extra ->
+            Solver.clear_cache ();
+            let r_inc = Session.pair row extra in
+            Solver.clear_cache ();
+            let r_scr = Solver.check [ base; extra ] in
+            match (r_inc, r_scr) with
+            | Solver.Sat m1, Solver.Sat m2 ->
+              check_bool "session publishes the scratch witness" true
+                (Model.bindings m1 = Model.bindings m2)
+            | Solver.Unsat, Solver.Unsat -> ()
+            | _ -> Alcotest.fail "session verdict differs from scratch")
+          extras
       done)
 
 (* One row query decides every candidate a model satisfies: with
@@ -115,7 +118,7 @@ let test_all_sat_row_query () =
       Solver.clear_cache ();
       let st = Solver.stats () in
       let solves0 = st.Solver.assumption_solves and queries0 = st.Solver.queries in
-      let s = Session.create [] in
+      let t = Session.template bs in
       let cands =
         List.map
           (fun b ->
@@ -124,7 +127,7 @@ let test_all_sat_row_query () =
             | Solver.Decided _ -> Alcotest.fail "the front half decided a pair")
           bs
       in
-      let answers = Session.all_sat s row cands in
+      let answers = Session.all_sat t row cands in
       check_int "one front-half query per pair" (queries0 + 3) st.Solver.queries;
       check_int "one Sat for both overlapping pairs, one final Unsat" (solves0 + 2)
         st.Solver.assumption_solves;
@@ -293,7 +296,7 @@ let test_certify_forces_scratch_and_matches () =
 
 (* Cold, unbudgeted, at -j1: every pair is one front-half query, a row
    costs at most one solve per inconsistency plus its final Unsat, and
-   one session is opened per block of ⌈rows/16⌉ rows.  Every
+   one template is built per check.  Every
    core-decided pair is memoized, so a warm re-run never reaches the SAT
    core. *)
 let test_row_query_counters () =
@@ -309,16 +312,14 @@ let test_row_query_counters () =
                  b.Soft.Grouping.gr_groups)
              a.Soft.Grouping.gr_groups)
       in
-      let size = (rows + 15) / 16 in
       let st = Solver.stats () in
       Solver.clear_cache ();
       Solver.reset_stats ();
       let o = Soft.Crosscheck.check ~jobs:1 a b in
-      check_bool "several rows per block" true (size > 1);
       check_int "queries = pairs checked" o.Soft.Crosscheck.o_pairs_checked st.Solver.queries;
       check_bool "assumption solves <= rows + inconsistencies" true
         (st.Solver.assumption_solves <= rows + Soft.Crosscheck.count o);
-      check_int "one session per block" ((rows + size - 1) / size) st.Solver.sessions_opened;
+      check_int "one template per check" 1 st.Solver.sessions_opened;
       Solver.reset_stats ();
       let warm = Soft.Crosscheck.check ~jobs:1 a b in
       Alcotest.(check string) "warm report identical" (canon o) (canon warm);
@@ -335,11 +336,12 @@ let test_session_counters_and_merge () =
       let sessions0 = st.Solver.sessions_opened in
       let assumes0 = st.Solver.assumption_solves in
       Solver.clear_cache ();
-      (* default flags: per-row sessions are the crosscheck's fast path *)
+      (* default flags: template rows are the crosscheck's fast path *)
       ignore (Soft.Crosscheck.check ~jobs:4 a b);
-      (* the crosscheck ran on worker domains; worker_exit folded the new
-         counters back into this domain's record *)
-      check_bool "default flags open sessions, merged back from workers" true
+      (* the template is built on this domain; the rows ran on worker
+         domains, and worker_exit folded their counters back into this
+         domain's record *)
+      check_bool "default flags build a template" true
         (st.Solver.sessions_opened > sessions0);
       check_bool "assumption solves merged back" true (st.Solver.assumption_solves > assumes0);
       (* merge_stats folds every new counter *)

@@ -413,7 +413,10 @@ let test_interval_refutation_uncached () =
       let unsat_q = [ xor_eq; Expr.not_ (Expr.eq x y) ] in
       let interval_q = [ Expr.ult z (c8 5L); Expr.uge z (c8 10L) ] in
       let base = [ Expr.ult x y ] in
-      let in_session extra () = Session.check (Session.create base) (base @ extra) in
+      let in_session extra () =
+        let a = Expr.conj base and b = Expr.conj extra in
+        Session.pair (Session.row (Session.template [ b ]) a) b
+      in
       let scratch q () = Solver.check q in
       let sat = function Solver.Sat _ -> true | Solver.Unsat | Solver.Unknown _ -> false in
       let unsat = function Solver.Unsat -> true | Solver.Sat _ | Solver.Unknown _ -> false in

@@ -373,6 +373,156 @@ let prop_recycled_scratch_matches_fresh =
               ok)
             (List.mapi (fun k q -> (k, q)) queries)))
 
+(* --- template rows ------------------------------------------------------ *)
+
+(* [Sat.restore] is a row instance's reset.  A small template restored
+   into an instance whose last row was larger must search exactly as the
+   template restored into a fresh instance, and as the template's CNF
+   built directly.  A heap position or watch head the larger row left past
+   the template's variables would keep a new row variable out of the VSIDS
+   heap or corrupt a watch chain. *)
+let test_restore_after_larger_row () =
+  let build (nvars, clauses) =
+    let s = Sat.create () in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    List.iter (Sat.add_clause s) clauses;
+    s
+  in
+  let small_cnf = random_3sat_cnf ~seed:3 40 120 in
+  let small = build small_cnf and large = build (random_3sat_cnf ~seed:4 300 900) in
+  (* a row: fresh variables past the template's, tied to it *)
+  let row s ~seed ~extra =
+    let _, _, nv0, _ = Sat.stats s in
+    for _ = 1 to extra do
+      ignore (Sat.new_var s)
+    done;
+    let nv = nv0 + extra in
+    List.iter (Sat.add_clause s) (snd (random_3sat_cnf ~seed nv (3 * extra)));
+    let r = Sat.solve s in
+    let search = (r, Sat.stats s, Sat.decisions s, List.init nv (Sat.model_value s)) in
+    (* switch a row variable off, as a row does after a model: the unwind
+       puts every variable back into the heap *)
+    Sat.add_clause s [ (2 * nv0) + 1 ];
+    search
+  in
+  let recycled = Sat.create () in
+  Sat.restore recycled ~from:large;
+  check_bool "the larger row is satisfiable" true
+    (let r, _, _, _ = row recycled ~seed:5 ~extra:200 in
+     r = Sat.Sat);
+  Sat.restore recycled ~from:small;
+  let got = row recycled ~seed:6 ~extra:30 in
+  let fresh = Sat.create () in
+  Sat.restore fresh ~from:small;
+  let r, _, _, _ = got in
+  check_bool "the small row is satisfiable" true (r = Sat.Sat);
+  check_bool "recycled = freshly restored" true (got = row fresh ~seed:6 ~extra:30);
+  check_bool "restored = built directly" true (got = row (build small_cnf) ~seed:6 ~extra:30)
+
+(* A row's answers depend on the template and the row alone.  Each case
+   builds a template over generated B conditions and solves generated A
+   rows on this domain's recycled row instance, disturbing them in turn:
+   a budget Unknown, a query hook that raises, a cancellation mid-search.
+   The last row, under a small conflict budget, must then answer exactly
+   as on a freshly restored instance (a newly spawned domain's): the same
+   verdicts and witnesses, the same solve count and the same learnt
+   clauses carried from solve to solve. *)
+let prop_recycled_row_matches_fresh =
+  QCheck2.Test.make ~name:"recycled row answers as a freshly restored one" ~count:40
+    QCheck2.Gen.(
+      let* w = oneofl [ 4; 8 ] in
+      pair
+        (list_size (int_range 1 5) (Gen.bool_gen ~max_depth:2 w))
+        (list_size (int_range 1 5) (Gen.bool_gen ~max_depth:2 w)))
+    (fun (bs, rows) ->
+      let t = Session.template bs in
+      let solve_row ?budget a =
+        let st = Solver.stats () in
+        let solves0 = st.Solver.assumption_solves and learnt0 = st.Solver.learnt_retained in
+        let cands =
+          List.filter_map
+            (fun b ->
+              match Solver.front ~use_cache:false ~use_interval:false [ a; b ] with
+              | Solver.Pending p -> Some (b, p)
+              | Solver.Decided _ -> None)
+            bs
+        in
+        let answers = Session.all_sat ?budget t a cands in
+        ( List.map
+            (function
+              | Solver.Sat m -> `Sat (List.map (fun (v, x) -> (Expr.var_id v, x)) (Model.bindings m))
+              | Solver.Unsat -> `Unsat
+              | Solver.Unknown _ -> `Unknown)
+            answers,
+          st.Solver.assumption_solves - solves0,
+          st.Solver.learnt_retained - learnt0 )
+      in
+      let budget = Solver.budget ~max_conflicts:2 () in
+      let last = List.nth rows (List.length rows - 1) in
+      Fun.protect
+        ~finally:(fun () ->
+          Solver.set_query_hook (fun () -> ());
+          Cancel.clear_current ())
+        (fun () ->
+          List.iteri
+            (fun k a ->
+              match k mod 3 with
+              | 0 -> ignore (solve_row ~budget:(Solver.budget ~max_conflicts:0 ()) a)
+              | 1 ->
+                Solver.set_query_hook (fun () -> raise Exit);
+                (try ignore (solve_row a) with Exit -> ());
+                Solver.set_query_hook (fun () -> ())
+              | _ ->
+                let tok = Cancel.create () in
+                Cancel.set_current tok;
+                Solver.set_query_hook (fun () -> Cancel.cancel tok Cancel.Deadline);
+                (try ignore (solve_row a) with Cancel.Cancelled _ -> ());
+                Solver.set_query_hook (fun () -> ());
+                Cancel.clear_current ())
+            rows);
+      let recycled = solve_row ~budget last in
+      recycled = Domain.join (Domain.spawn (fun () -> solve_row ~budget last)))
+
+(* Restoring a row and solving it allocate nothing in the major heap once
+   the recycled instance has the template's capacity: the restore is
+   blits, and the row's own tables keep their buckets.  What the minor
+   heap sees per row is the row's own blast, a small fraction of the
+   template it restores (a copying restore would allocate the whole
+   template's arrays, about [tpl_words] words). *)
+let test_row_restore_allocation () =
+  let v k = Expr.var ~width:16 (Printf.sprintf "rowalloc.%d" k) in
+  let tpl = Bitblast.create () in
+  for k = 0 to 59 do
+    let s = Bitblast.fresh tpl in
+    let b = Expr.ult (Expr.add (v (k mod 7)) (v ((k + 3) mod 7))) (c 16 (1000 * (k + 1))) in
+    Sat.add_clause2 tpl.Bitblast.sat (Sat.lit_neg s) (Bitblast.blast_bool tpl b)
+  done;
+  let _, _, tpl_vars, tpl_clauses = Sat.stats tpl.Bitblast.sat in
+  let tpl_words = (3 * tpl_clauses) + (8 * tpl_vars) in
+  let row = Bitblast.create () in
+  let a = Expr.eq (Expr.logxor (v 0) (v 1)) (c 16 0x55) in
+  let run () =
+    Bitblast.restore row ~template:tpl;
+    Bitblast.assert_bool row a;
+    check_bool "row satisfiable" true (Sat.solve row.Bitblast.sat = Sat.Sat)
+  in
+  run ();
+  run ();
+  let rows = 50 in
+  let minor0, promoted0, major0 = Gc.counters () in
+  for _ = 1 to rows do
+    run ()
+  done;
+  let minor1, promoted1, major1 = Gc.counters () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let per_row = (minor1 -. minor0) /. float_of_int rows in
+  if direct_major > 0.0 then
+    Alcotest.failf "%.0f words allocated directly in the major heap over %d rows" direct_major rows;
+  if per_row >= float_of_int tpl_words /. 10.0 then
+    Alcotest.failf "%.0f minor words per row against a %d-word template" per_row tpl_words
+
 (* --- bitvector layer -------------------------------------------------- *)
 
 let test_arith_solving () =
@@ -534,6 +684,9 @@ let suite =
     Alcotest.test_case "search pins" `Quick test_search_pins;
     Alcotest.test_case "clause store allocation" `Quick test_clause_store_allocation;
     QCheck_alcotest.to_alcotest prop_recycled_scratch_matches_fresh;
+    Alcotest.test_case "restore after a larger row" `Quick test_restore_after_larger_row;
+    QCheck_alcotest.to_alcotest prop_recycled_row_matches_fresh;
+    Alcotest.test_case "row restore allocation" `Quick test_row_restore_allocation;
     QCheck_alcotest.to_alcotest prop_fixed_arity_matches_list;
     Alcotest.test_case "arithmetic system" `Quick test_arith_solving;
     Alcotest.test_case "unsat ranges" `Quick test_unsat_range;
