@@ -949,95 +949,6 @@ let exploration_bench () =
        ])
 
 (* ---------------------------------------------------------------------- *)
-(* Crash-only service: submit -> verdict latency cold vs from the store,
-   plus WAL-replay recovery time *)
-
-let service_bench () =
-  header
-    "Crash-only service: submit -> verdict latency (cold vs store hit) and WAL recovery";
-  let dir =
-    let f = Filename.temp_file "soft-bench-service" "" in
-    Sys.remove f;
-    Unix.mkdir f 0o700;
-    f
-  in
-  let rec rm_rf p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cfg =
-    Soft.Service.config
-      ~max_paths:(min budget 400)
-      ~on_warning:(fun _ -> ())
-      ~agents:
-        [
-          ("ref", Switches.Reference_switch.agent);
-          ("modified", Switches.Modified_switch.agent);
-        ]
-      ()
-  in
-  let submit () =
-    match
-      Soft.Service.submit dir ~agent_a:"ref" ~agent_b:"modified" ~tests:[ "packet_out" ]
-    with
-    | Ok id -> id
-    | Error (`Backpressure _) -> failwith "bench service: unexpected backpressure"
-  in
-  (* drain the queue once; the measured span is serve only, not recovery *)
-  let drain () =
-    let t = Soft.Service.open_service cfg dir in
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () -> Soft.Service.close t)
-      (fun () -> Soft.Service.serve ~once:true t);
-    Unix.gettimeofday () -. t0
-  in
-  Smt.Solver.clear_cache ();
-  let id_cold = submit () in
-  let t_cold = drain () in
-  let sat_before = (Smt.Solver.stats ()).Smt.Solver.sat_calls in
-  let id_warm = submit () in
-  let t_warm = drain () in
-  let warm_sat_calls = (Smt.Solver.stats ()).Smt.Solver.sat_calls - sat_before in
-  (* the store-hit report must be byte-identical modulo the job id line *)
-  let body id =
-    match Soft.Service.report dir id with
-    | None -> failwith "bench service: missing report"
-    | Some s ->
-      (match String.split_on_char '\n' s with
-       | _header :: _job_id :: rest -> String.concat "\n" rest
-       | _ -> s)
-  in
-  assert (body id_cold = body id_warm);
-  assert (warm_sat_calls = 0);
-  let t0 = Unix.gettimeofday () in
-  let t = Soft.Service.open_service cfg dir in
-  let t_recover = Unix.gettimeofday () -. t0 in
-  let replayed = Soft.Service.replayed_records t in
-  Soft.Service.close t;
-  let st = Soft.Service.status dir in
-  assert (st.Soft.Service.ss_verdicts_lost = 0);
-  Printf.printf "cold submit -> verdict:   %6.3fs\n" t_cold;
-  Printf.printf "store-hit resubmission:   %6.3fs (%d new SAT calls)\n" t_warm
-    warm_sat_calls;
-  Printf.printf "recovery (WAL replay):    %6.3fs (%d records, %d store entries)\n%!"
-    t_recover replayed st.Soft.Service.ss_store_entries;
-  record "service"
-    (J_obj
-       [
-         ("cold_latency", J_num t_cold);
-         ("warm_latency", J_num t_warm);
-         ("warm_sat_calls", J_int warm_sat_calls);
-         ("recovery_time", J_num t_recover);
-         ("wal_records", J_int replayed);
-         ("store_entries", J_int st.Soft.Service.ss_store_entries);
-         ("jobs_done", J_int st.Soft.Service.ss_jobs_done);
-       ])
-
 (* ---------------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks of the pipeline stages *)
 
@@ -1146,7 +1057,6 @@ let () =
   ablation incremental_crosscheck;
   supervised_crosscheck ();
   exploration_bench ();
-  service_bench ();
   if Sys.getenv_opt "SOFT_BENCH_SKIP_MICRO" = None then microbenchmarks ();
   header "Summary";
   Printf.printf "total wall time: %.1fs\n" (Unix.gettimeofday () -. t0);

@@ -17,17 +17,13 @@
      soft list
          available agents and tests.
 
-   Service mode (crash-only; all state in one directory):
+   Crash-safe batch crosschecks: ship each agent's phase-1 output with
+   [run -o], then
 
-     soft serve  --dir DIR
-         recover the service (replay the WAL) and drain the job queue;
-         kill -9 at any instant and restart — nothing acknowledged is lost.
-
-     soft submit --dir DIR -a ref -b ovs --test packet_out --test flow_mod
-         enqueue a job; refused with exit 4 once the queue is full.
-
-     soft status --dir DIR
-         read-only snapshot: jobs, units, queue depth, store size.
+     soft check  ref.run ovs.run --checkpoint ck --resume ck
+         kill it at any instant and rerun the same command: it resumes
+         from the last snapshot and prints the uninterrupted report; on a
+         finished snapshot it answers without a single SAT call.
 
    Exit status (scriptable):
      0  clean — no inconsistencies, nothing undecided or unvalidated
@@ -35,7 +31,6 @@
      2  usage error (bad flags, unknown agent/test, mismatched resume file)
      3  inconclusive — undecided/faulted pairs, refuted or unreplayable
         reports, or an injected fault aborting a run
-     4  backpressure — the service queue is at its pending watermark
      125  unexpected internal exception *)
 
 let agents =
@@ -333,9 +328,9 @@ let chaos_points =
     & info [ "chaos-points" ] ~docv:"POINT,POINT,..."
         ~doc:
           "Restrict --chaos-seed to these injection points (e.g. \
-           torn-write,fsync-fail,rename-crash for the service durability \
-           sweep).  A masked point never fires and never draws, so the \
-           other points' schedules are unchanged.")
+           checkpoint-truncate to fault only the snapshot writes).  A masked \
+           point never fires and never draws, so the other points' \
+           schedules are unchanged.")
 
 let apply_certify c = Smt.Solver.set_certify c
 
@@ -787,182 +782,6 @@ let explore_cmd =
       $ faults_per_schedule $ shrink $ repro $ schedule_file $ seed $ max_wall_s
       $ budget_ms $ max_conflicts)
 
-(* --- service mode (serve / submit / status) --------------------------- *)
-
-let service_dir =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "dir"; "d" ] ~docv:"DIR"
-        ~doc:"Service directory holding the job queue, WAL, result store and reports.")
-
-(* submit validates names/ids eagerly (usage errors exit 2 at the client)
-   but ships the normalized strings — the daemon re-resolves them. *)
-let agent_name_conv =
-  Arg.conv
-    ( (fun s ->
-        let s = String.lowercase_ascii s in
-        match lookup_agent s with Ok _ -> Ok s | Error e -> Error (`Msg e)),
-      Format.pp_print_string )
-
-let test_id_conv =
-  Arg.conv
-    ( (fun s ->
-        match lookup_test s with
-        | Ok t -> Ok t.Harness.Test_spec.id
-        | Error e -> Error (`Msg e)),
-      Format.pp_print_string )
-
-let serve_cmd =
-  let once =
-    Arg.(
-      value
-      & flag
-      & info [ "once" ]
-          ~doc:"Drain everything currently queued or in flight, then exit instead of polling.")
-  in
-  let poll_ms =
-    Arg.(
-      value
-      & opt int 200
-      & info [ "poll-ms" ] ~docv:"MS" ~doc:"Queue polling interval when idle (default 200).")
-  in
-  let max_units =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-units" ] ~docv:"N"
-          ~doc:"Stop after processing N units (testing aid: a controlled mid-run kill).")
-  in
-  let soft_mb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "soft-mb" ] ~docv:"MB"
-          ~doc:
-            "Soft heap watermark: crossing it sheds the solver memo cache and \
-             degrades the crosscheck to one worker.")
-  in
-  let hard_mb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "hard-mb" ] ~docv:"MB"
-          ~doc:
-            "Hard heap watermark: additionally stop admitting queued jobs, so \
-             submitters see backpressure instead of the daemon dying.")
-  in
-  let crash_limit =
-    Arg.(
-      value
-      & opt int 3
-      & info [ "crash-limit" ] ~docv:"N"
-          ~doc:
-            "Starts without a verdict before recovery quarantines a unit as a \
-             crash-looper (default 3).")
-  in
-  let no_fsync =
-    Arg.(
-      value
-      & flag
-      & info [ "no-fsync" ]
-          ~doc:"Skip fsync on WAL/store commits — tests and benchmarks only.")
-  in
-  let run dir once poll_ms max_units max_paths jobs budget_ms max_conflicts certify
-      chaos_seed chaos_rate chaos_points task_deadline_ms max_retries backoff_ms
-      mem_ceiling_mb soft_mb hard_mb crash_limit no_fsync =
-    apply_budget budget_ms max_conflicts;
-    apply_certify certify;
-    apply_chaos ?points:chaos_points chaos_seed chaos_rate;
-    let supervise = make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb in
-    match
-      let cfg =
-        Soft.Service.config ~max_paths ~jobs ?supervise ~crash_limit ?soft_mb ?hard_mb
-          ~fsync:(not no_fsync) ~agents ()
-      in
-      let t = Soft.Service.open_service cfg dir in
-      Fun.protect
-        ~finally:(fun () -> Soft.Service.close t)
-        (fun () -> Soft.Service.serve ~once ~poll_ms ?max_units t)
-    with
-    | () ->
-      chaos_report ();
-      0
-    | exception Harness.Chaos.Injected_fault p ->
-      (* the simulated crash: exit like a kill; the next serve recovers *)
-      Format.eprintf "soft: injected fault (%s) crashed the service@." p;
-      3
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Crash-only service daemon: recover from the WAL (the only startup \
-          path), then drain the persistent job queue.")
-    Term.(
-      const run $ service_dir $ once $ poll_ms $ max_units $ max_paths $ jobs $ budget_ms
-      $ max_conflicts $ certify $ chaos_seed $ chaos_rate $ chaos_points $ task_deadline_ms
-      $ max_retries $ backoff_ms $ mem_ceiling_mb $ soft_mb $ hard_mb $ crash_limit
-      $ no_fsync)
-
-let submit_cmd =
-  let agent_a =
-    Arg.(
-      required
-      & opt (some agent_name_conv) None
-      & info [ "agent-a"; "a" ] ~doc:"First agent.")
-  in
-  let agent_b =
-    Arg.(
-      required
-      & opt (some agent_name_conv) None
-      & info [ "agent-b"; "b" ] ~doc:"Second agent.")
-  in
-  let tests =
-    Arg.(
-      non_empty
-      & opt_all test_id_conv []
-      & info [ "test"; "t" ] ~docv:"TEST" ~doc:"Test id; repeatable.")
-  in
-  let fresh =
-    Arg.(
-      value
-      & flag
-      & info [ "fresh" ]
-          ~doc:
-            "Force phase-1 re-execution (use after editing an agent model).  \
-             Crosscheck verdicts are still answered from the store for \
-             partitions whose fingerprint did not change.")
-  in
-  let max_pending =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-pending" ] ~docv:"N"
-          ~doc:"Queue depth at which submission is refused (default 64).")
-  in
-  let run dir agent_a agent_b tests fresh max_pending =
-    match Soft.Service.submit ~fresh ?max_pending dir ~agent_a ~agent_b ~tests with
-    | Ok id ->
-      Format.printf "submitted %s@." id;
-      0
-    | Error (`Backpressure depth) ->
-      Format.eprintf "soft: queue full (%d pending); try again later@." depth;
-      4
-  in
-  Cmd.v
-    (Cmd.info "submit" ~doc:"Enqueue a crosscheck job for the service daemon.")
-    Term.(const run $ service_dir $ agent_a $ agent_b $ tests $ fresh $ max_pending)
-
-let status_cmd =
-  let run dir =
-    Format.printf "%a@." Soft.Service.pp_status (Soft.Service.status dir);
-    0
-  in
-  Cmd.v
-    (Cmd.info "status"
-       ~doc:"Read-only service snapshot (works with or without a daemon running).")
-    Term.(const run $ service_dir)
-
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -989,9 +808,6 @@ let main =
       check_cmd;
       compare_cmd;
       explore_cmd;
-      serve_cmd;
-      submit_cmd;
-      status_cmd;
       list_cmd;
     ]
 

@@ -41,9 +41,6 @@ type point =
   | Checkpoint_truncate
   | Clock_jump
   | Hang
-  | Torn_write
-  | Fsync_fail
-  | Rename_crash
 
 let point_name = function
   | Solver_fault -> "solver-fault"
@@ -51,11 +48,8 @@ let point_name = function
   | Checkpoint_truncate -> "checkpoint-truncate"
   | Clock_jump -> "clock-jump"
   | Hang -> "hang"
-  | Torn_write -> "torn-write"
-  | Fsync_fail -> "fsync-fail"
-  | Rename_crash -> "rename-crash"
 
-let npoints = 8
+let npoints = 5
 
 let point_index = function
   | Solver_fault -> 0
@@ -63,21 +57,8 @@ let point_index = function
   | Checkpoint_truncate -> 2
   | Clock_jump -> 3
   | Hang -> 4
-  | Torn_write -> 5
-  | Fsync_fail -> 6
-  | Rename_crash -> 7
 
-let all_points =
-  [
-    Solver_fault;
-    Agent_step;
-    Checkpoint_truncate;
-    Clock_jump;
-    Hang;
-    Torn_write;
-    Fsync_fail;
-    Rename_crash;
-  ]
+let all_points = [ Solver_fault; Agent_step; Checkpoint_truncate; Clock_jump; Hang ]
 
 let point_of_name s =
   List.find_opt (fun pt -> point_name pt = s) all_points
@@ -92,8 +73,8 @@ type plan = {
   p_enabled : bool array;
   (* [?only] mask: a disabled point never fires and never draws.  Each
      point has its own stream, so masking one point cannot shift another
-     point's schedule — restricting a plan to the durability points keeps
-     the solver/agent/clock points byte-for-byte silent. *)
+     point's schedule — restricting a plan to, say, the checkpoint point
+     keeps the solver/agent/clock points byte-for-byte silent. *)
   p_keyed : (int * int, Random.State.t) Hashtbl.t;
   (* keyed streams, allocated lazily under [fire_lock]: a [fire ~key] draw
      comes from the stream seeded by [(seed, point, key)] instead of the
@@ -287,30 +268,6 @@ let maybe_truncate_file path =
     let size = (Unix.stat path).Unix.st_size in
     if size > 0 then Unix.truncate path (size / 2)
   end
-
-(* --- durability fault points (WAL / store) ---------------------------- *)
-
-(* The three points below simulate the ways an append-or-rename durability
-   protocol actually dies in the field.  They raise {!Injected_fault} so
-   the service layer experiences them as a crash — the crash-only recovery
-   path is then the *only* code that can make the test pass:
-
-   - [Torn_write]: the caller learns the write tore (it must write only a
-     prefix of the record, then treat the append as a crash);
-   - [Fsync_fail]: the data may or may not have reached the platter — the
-     record is written but the commit must not be acknowledged, so a
-     recovery may legitimately find a record the writer never confirmed
-     (replay has to be idempotent against these "ghost" commits);
-   - [Rename_crash]: the process dies immediately *after* the atomic
-     rename publishes a rewrite — recovery sees the new file but none of
-     the writer's post-publish bookkeeping. *)
-
-let maybe_torn_write () = fire Torn_write
-
-let maybe_fsync_fail () = if fire Fsync_fail then raise (Injected_fault (point_name Fsync_fail))
-
-let maybe_rename_crash () =
-  if fire Rename_crash then raise (Injected_fault (point_name Rename_crash))
 
 (* Deliver solver faults and clock jumps to every query [f] issues that
    reaches the SAT core.  The hook is installed only for the dynamic

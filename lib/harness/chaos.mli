@@ -28,18 +28,6 @@ type point =
       (** a solver task stalls until the supervision watchdog cancels it;
           drawn only when a {!Smt.Cancel} token is installed (i.e. under
           supervision), so unsupervised runs can never freeze *)
-  | Torn_write
-      (** a WAL append writes only a prefix of the record and then the
-          process "dies" ({!Injected_fault}); recovery must discard the
-          torn tail *)
-  | Fsync_fail
-      (** an fsync fails after the bytes were written: the commit is not
-          acknowledged but the record may still be durable, so recovery
-          may find commits the writer never confirmed *)
-  | Rename_crash
-      (** the process dies right after an atomic rename published a store
-          write or a WAL rewrite — the new file is visible, none of the
-          writer's post-publish bookkeeping happened *)
 
 val point_name : point -> string
 val all_points : point list
@@ -54,11 +42,11 @@ val plan : ?only:point list -> ?record:bool -> seed:int -> rate:float -> unit ->
 (** A fault plan firing each point's draws independently with probability
     [rate].  [only] restricts the plan to the listed points: a masked
     point never fires and never draws, and since every point has its own
-    stream, masking cannot shift another point's schedule (the service
-    byte-identity tests rely on this to inject durability faults without
-    perturbing solver verdicts).  [record] (default false) traces every
-    draw the plan makes — fired or not — so the run converts to an
-    explicit {!Schedule.t} afterwards (see {!trace}, {!to_schedule}).
+    stream, masking cannot shift another point's schedule
+    ([--chaos-points] relies on this to fault one layer without
+    perturbing the others).  [record] (default false) traces every draw
+    the plan makes — fired or not — so the run converts to an explicit
+    {!Schedule.t} afterwards (see {!trace}, {!to_schedule}).
     @raise Invalid_argument if [rate] is outside [[0, 1]]. *)
 
 val scripted : ?only:point list -> ?record:bool -> Schedule.t -> plan
@@ -120,21 +108,7 @@ val maybe_truncate_file : string -> unit
 val fires : ?key:int -> point -> bool
 (** Draw at [point] and report whether the fault fires, without raising.
     [false] when no plan is active or the point is masked (no draw
-    consumed then).  For callers that must stage a fault themselves —
-    the WAL uses it to write a deliberately torn record. *)
-
-val maybe_torn_write : unit -> bool
-(** Draw at [Torn_write].  [true] tells the caller to write only a prefix
-    of the record and then raise {!Injected_fault} as if killed mid-write. *)
-
-val maybe_fsync_fail : unit -> unit
-(** Draw at [Fsync_fail]; on fire raise {!Injected_fault} {e before} the
-    fsync — the bytes are in the file, the commit is unacknowledged. *)
-
-val maybe_rename_crash : unit -> unit
-(** Draw at [Rename_crash]; on fire raise {!Injected_fault} {e after} the
-    caller's rename — the publish happened, the crash eats everything
-    after it. *)
+    consumed then).  For callers that must stage a fault themselves. *)
 
 val with_solver_faults : ?key:int -> (unit -> 'a) -> 'a
 (** Run a thunk with solver faults, clock jumps and hangs delivered to

@@ -88,7 +88,7 @@ let parse_site line =
 let parse_meta line =
   (* "meta <key> <escaped value>": the value is everything after the
      second space, unescaped — String.escaped leaves spaces intact, so
-     values round-trip with embedded spaces (same idiom as the WAL). *)
+     values round-trip with embedded spaces. *)
   if String.length line < 5 || String.sub line 0 5 <> "meta " then None
   else
     match String.index_from_opt line 5 ' ' with

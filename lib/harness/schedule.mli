@@ -18,13 +18,13 @@
     meta workload cs_flow_mods
     meta seed 7
     s solver-fault 3 0
-    s torn-write - 2
+    s checkpoint-truncate - 2
     sum <md5-hex of every preceding line>
     v}
 
     Site lines are emitted in sorted order and deduplicated, so equal
     schedules serialize to equal bytes; the [sum] trailer (the same
-    idiom as checkpoints and the WAL) rejects truncated or edited files
+    idiom as checkpoints) rejects truncated or edited files
     instead of silently replaying the wrong fault pattern. *)
 
 type site = {

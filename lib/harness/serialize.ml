@@ -10,12 +10,7 @@
      T trace-line          (zero or more)
      X crash-message       (optional)
      P sexp-path-condition
-     ... repeated per path
-
-   The same bytes also travel through the service layer's
-   content-addressed store, so the format round-trips through strings
-   ([to_string]/[of_string]); the digest of [to_string] is the agent
-   fingerprint the service keys crosscheck verdicts by. *)
+     ... repeated per path *)
 
 module Trace = Openflow.Trace
 
@@ -56,7 +51,7 @@ let save path (s : saved) =
 
 exception Format_error of string
 
-(* [what] names the source (a file path, or "<string>") in errors. *)
+(* [what] names the source file in errors. *)
 let parse ~what next_line =
   let expect_prefix p l =
     if String.length l >= String.length p && String.sub l 0 (String.length p) = p then
@@ -111,7 +106,7 @@ let parse ~what next_line =
   go ();
   { sv_agent = agent; sv_test = test; sv_paths = List.rev !paths }
 
-let of_string ?(what = "<string>") content =
+let of_string ~what content =
   let lines = ref (String.split_on_char '\n' content) in
   let next_line () =
     match !lines with

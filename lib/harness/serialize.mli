@@ -12,19 +12,8 @@ exception Format_error of string
 
 val of_run : Runner.run -> saved
 
-val to_string : saved -> string
-(** The exact bytes {!save} writes.  The service layer stores these in
-    its content-addressed store, and their digest is the agent
-    fingerprint under which crosscheck verdicts are keyed. *)
-
 val write_channel : out_channel -> saved -> unit
 val save : string -> saved -> unit
-
-val of_string : ?what:string -> string -> saved
-(** Parse {!to_string}'s output; [what] names the source in error
-    messages (default ["<string>"]).
-    @raise Format_error on malformed content,
-    @raise Smt.Serial.Parse_error on malformed path conditions. *)
 
 val load : string -> saved
 (** @raise Format_error on malformed files,

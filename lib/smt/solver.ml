@@ -273,8 +273,6 @@ let set_cache_capacity n =
 
 let clear_cache () = Lru.clear (ctx ()).c_cache
 
-let cache_len () = Lru.length (ctx ()).c_cache
-
 (* Bounded eviction: on reaching capacity, discard the *colder half* of
    the entries (least-recently-used first) instead of flushing the whole
    table.  A full flush right after hitting capacity costs a worst-case

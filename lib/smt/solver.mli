@@ -177,11 +177,6 @@ val clear_cache : unit -> unit
 (** Drop every memo entry.  Benchmarks use this to measure cold costs;
     reproducibility harnesses use it to realign two runs' query streams. *)
 
-val cache_len : unit -> int
-(** Entries currently in the calling domain's memo table.  The service's
-    memory-pressure ladder reads this to report how much cache a shed
-    released. *)
-
 val set_cache_capacity : int -> unit
 (** Entry count at which bounded eviction triggers (default 65536); on
     reaching it the *colder half* of the entries (least-recently-used

@@ -165,12 +165,24 @@ type pair_outcome =
          skips it instead of re-dying on it *)
 
 (* The checkpoint ties itself to the exact grouped inputs via a digest of
-   the group keys, so resuming against different runs is refused instead of
-   silently producing garbage. *)
-let fingerprint (ka : string array) (kb : string array) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" (Array.to_list ka) ^ "\x01" ^ String.concat "\x00" (Array.to_list kb)))
+   every group's result key, path count and serialized condition, so
+   resuming against different runs is refused instead of silently
+   producing garbage — also runs with the same result groups but other
+   conditions (a deeper exploration of the same agent), whose stored
+   verdicts would be stale. *)
+let fingerprint (ga : Grouping.group array) (gb : Grouping.group array) =
+  let buf = Buffer.create 65536 in
+  let side groups =
+    Array.iter
+      (fun (g : Grouping.group) ->
+        Printf.bprintf buf "%s\x00%d\x00%s\x00" g.Grouping.g_key g.Grouping.g_path_count
+          (Serial.bool_to_string g.Grouping.g_cond))
+      groups
+  in
+  side ga;
+  Buffer.add_char buf '\x01';
+  side gb;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let write_checkpoint path ~test ~agent_a ~agent_b ~fp (decided : (int * int, pair_outcome) Hashtbl.t) =
   (* the snapshot is built in memory so a whole-file checksum can be
@@ -622,7 +634,10 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
   let groups_b = Array.of_list b.Grouping.gr_groups in
   let keys_a = Array.map (fun (g : Grouping.group) -> g.Grouping.g_key) groups_a in
   let keys_b = Array.map (fun (g : Grouping.group) -> g.Grouping.g_key) groups_b in
-  let fp = fingerprint keys_a keys_b in
+  (* only a checkpointed or resumed check pays for the fingerprint *)
+  let fp =
+    if checkpoint = None && resume = None then "" else fingerprint groups_a groups_b
+  in
   let decided =
     match resume with
     | Some path ->
@@ -734,8 +749,9 @@ let undecided_count o = List.length o.o_pairs_undecided
 let quarantined_count o = List.length o.o_pairs_quarantined
 
 (* [pp] and [pp_stable] share everything but the header's trailing check
-   time: the stable form is what the service persists and byte-compares
-   across crash/recovery, so it must not carry wall-clock noise. *)
+   time: the stable form is what the exploration oracle and the benchmark
+   digests byte-compare (a resumed run against the uninterrupted one), so
+   it must not carry wall-clock noise. *)
 let pp_gen ~with_time fmt o =
   Format.fprintf fmt "@[<v>%s vs %s on %s: %d inconsistencies (%d pairs checked, %d undecided%s%s%s)@ "
     o.o_agent_a o.o_agent_b o.o_test (count o) o.o_pairs_checked (undecided_count o)

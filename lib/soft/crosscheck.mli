@@ -80,7 +80,9 @@ val sat_pair :
 exception Checkpoint_error of string
 (** Raised when an *intact* resume file (its whole-file checksum holds)
     belongs to different runs — the checkpoint carries the test, agent
-    names, and a fingerprint of both groups' result keys.  A file that
+    names, and a fingerprint of every group's result key, path count and
+    condition, so runs with the same result groups but other conditions
+    are refused too.  A file that
     fails its checksum (truncated, bit-flipped, or pre-checksum format) is
     never an error: it degrades to a cold start with an [on_warning]
     message. *)
@@ -197,8 +199,9 @@ val pp : Format.formatter -> outcome -> unit
 
 val pp_stable : Format.formatter -> outcome -> unit
 (** {!pp} minus the check-time field — every byte a pure function of the
-    verdicts.  The service layer persists this rendering and asserts that
-    a killed-and-recovered run reproduces it byte for byte. *)
+    verdicts.  The exploration oracle and the benchmark digests compare
+    this rendering byte for byte, e.g. a checkpoint-resumed run against
+    the uninterrupted one. *)
 
 val render_stable : outcome -> string
 (** [Format.asprintf "%a" pp_stable]. *)

@@ -75,10 +75,10 @@ let summarize (o : Crosscheck.outcome) =
    Finding a real divergence (1) outranks being inconclusive (3): a
    scripted gate must fail hard on a confirmed interoperability bug even
    if parts of the check also gave up. *)
-(* Same policy from bare counters: the service daemon replays verdict
-   counts out of its WAL and must rank a whole job without rebuilding any
-   [Crosscheck.outcome].  [faults] covers pair faults and quarantines —
-   both leave pairs undecided. *)
+(* Same policy from bare counters: the exploration oracle checks a
+   faulted run's exit status against its observed counters without
+   holding a [Crosscheck.outcome].  [faults] covers pair faults and
+   quarantines — both leave pairs undecided. *)
 let exit_of_counts ~inconsistencies ~undecided ~faults =
   if inconsistencies > 0 then 1 else if undecided > 0 || faults > 0 then 3 else 0
 

@@ -35,8 +35,8 @@ val exit_status : ?validation:Validate.summary -> Crosscheck.outcome -> int
     produced here.) *)
 
 val exit_of_counts : inconsistencies:int -> undecided:int -> faults:int -> int
-(** The {!exit_status} policy from bare counters, for callers (the service
-    daemon) that replay verdict counts from a journal instead of holding a
+(** The {!exit_status} policy from bare counters, for callers (the
+    exploration {!Oracle}) that hold verdict counts instead of a
     {!Crosscheck.outcome}.  [faults] covers pair faults and quarantines. *)
 
 val pp_summary : Format.formatter -> summary list -> unit

@@ -367,8 +367,12 @@ let test_checkpoint_resume_equivalence () =
       (* a full checkpoint replays entirely — no pair is re-solved, and the
          witnesses survive the serialization round-trip *)
       let full = Soft.Crosscheck.check ~checkpoint:file a b in
+      let st = Solver.stats () in
+      let queries0 = st.Solver.queries and sat_calls0 = st.Solver.sat_calls in
       let replayed = Soft.Crosscheck.check ~resume:file a b in
-      check_same_outcome "replayed = checkpointed" full replayed)
+      check_same_outcome "replayed = checkpointed" full replayed;
+      check_int "full replay makes no solver query" 0 (st.Solver.queries - queries0);
+      check_int "full replay makes no SAT call" 0 (st.Solver.sat_calls - sat_calls0))
 
 let test_resume_missing_file_is_fresh () =
   let p = Expr.var ~width:16 "fig1.p" in
@@ -395,6 +399,34 @@ let test_resume_rejects_mismatch () =
       let a' = run_toy "agent1" (fun env -> fig1_agent2 env p) in
       match Soft.Crosscheck.check ~resume:file a' b with
       | _ -> Alcotest.fail "mismatched checkpoint accepted"
+      | exception Soft.Crosscheck.Checkpoint_error _ -> ())
+
+(* Same result groups, other conditions: agent1 with its CONTROLLER
+   special case moved to another port has the very same three group keys
+   and path counts, but the verdicts stored for the original no longer
+   hold.  The fingerprint covers the conditions, so the resume is
+   refused instead of reporting stale verdicts. *)
+let test_resume_rejects_same_keys_other_conditions () =
+  let p = Expr.var ~width:16 "fig1.p" in
+  let moved env p =
+    if Engine.branch_eq env p 0xfffeL then Engine.emit env "CTRL"
+    else if Engine.branch env (Expr.ult p (c16 25)) then Engine.emit env "FWD"
+    else Engine.emit env "ERR"
+  in
+  let a = run_toy "agent1" (fun env -> fig1_agent1 env p) in
+  let a' = run_toy "agent1" (fun env -> moved env p) in
+  let b = run_toy "agent2" (fun env -> fig1_agent2 env p) in
+  let keys (g : Soft.Grouping.grouped) =
+    List.map (fun (g : Soft.Grouping.group) -> g.Soft.Grouping.g_key) g.Soft.Grouping.gr_groups
+  in
+  Alcotest.(check (list string)) "same result groups" (keys a) (keys a');
+  let file = Filename.temp_file "soft_ckpt" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      ignore (Soft.Crosscheck.check ~checkpoint:file a b);
+      match Soft.Crosscheck.check ~resume:file a' b with
+      | _ -> Alcotest.fail "checkpoint of other conditions accepted"
       | exception Soft.Crosscheck.Checkpoint_error _ -> ())
 
 (* A damaged checkpoint — truncated write or flipped bit — must never
@@ -535,6 +567,9 @@ let suite =
     ("checkpoint/resume equals uninterrupted", `Quick, test_checkpoint_resume_equivalence);
     ("resume: missing file is a fresh start", `Quick, test_resume_missing_file_is_fresh);
     ("resume: mismatched checkpoint rejected", `Quick, test_resume_rejects_mismatch);
+    ( "resume: same keys, other conditions rejected",
+      `Quick,
+      test_resume_rejects_same_keys_other_conditions );
     ("resume: truncated checkpoint heals cold", `Quick, test_resume_truncated_checkpoint);
     ("resume: bit-flipped checkpoint heals cold", `Quick, test_resume_bitflipped_checkpoint);
     ("engine isolates agent exceptions", `Quick, test_engine_isolates_agent_exception);

@@ -32,6 +32,5 @@ let () =
       ("parallel", Test_parallel.suite);
       ("incremental", Test_incremental.suite);
       ("supervise", Test_supervise.suite);
-      ("service", Test_service.suite);
       ("explore", Test_explore.suite);
     ]

@@ -1,7 +1,7 @@
 (* The supervision layer: watchdog deadlines actually kill hung work,
    the retry/backoff ladder, failure taxonomy, the memory-pressure guard,
-   the Expr node-limit backstop, the checkpoint v2->v3 migration, and the
-   end-to-end contract — chaos hangs under supervision only ever degrade
+   the Expr node-limit backstop, the checkpoint v2->v3 migration, the v3
+   duplicate-quarantine guard, and the end-to-end contract — chaos hangs under supervision only ever degrade
    pairs to quarantined/undecided, never flip a verdict, and the report
    stays byte-identical across [-j N]. *)
 
@@ -304,6 +304,84 @@ let test_checkpoint_quarantine_roundtrip () =
           Alcotest.(check string) "quarantine round-trips byte-identically" q_file
             (read_file file)))
 
+(* --- checkpoint v3: duplicate / contradictory quarantine records ------- *)
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+
+let in_tmpdir f =
+  let dir = Filename.temp_file "soft_supervise" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) (fun () -> f dir)
+
+let test_checkpoint_dup_quarantine () =
+  with_clean_world (fun () ->
+      in_tmpdir (fun dir ->
+          let file = Filename.concat dir "ckpt" in
+          let spec = Harness.Test_spec.packet_out () in
+          let a =
+            Soft.Grouping.of_run
+              (Harness.Runner.execute ~max_paths:40 Switches.Reference_switch.agent spec)
+          in
+          let b =
+            Soft.Grouping.of_run
+              (Harness.Runner.execute ~max_paths:40 Switches.Modified_switch.agent spec)
+          in
+          ignore (Soft.Crosscheck.check ~checkpoint:file a b);
+          let lines = String.split_on_char '\n' (body_of (read_file file)) in
+          (* take the first two decided pairs: turn the second into a
+             quarantine, then append colliding records for both *)
+          let decided =
+            List.filter
+              (fun l -> String.length l > 2 && l.[0] = 'd' && l.[1] = ' ')
+              lines
+          in
+          let d1 = List.nth decided 0 and d2 = List.nth decided 1 in
+          let q_of d tax = "q" ^ String.sub d 1 (String.length d - 1) ^ " " ^ tax in
+          let lines' =
+            List.concat_map (fun l -> if l = d2 then [ q_of d2 "hung" ] else [ l ]) lines
+          in
+          (* drop the trailing "" so appended records stay in the body *)
+          let lines' = List.filter (fun l -> l <> "") lines' in
+          let doctored =
+            lines'
+            @ [
+                q_of d1 "crashed" (* contradicts d1's clean verdict *);
+                q_of d2 "crashed" (* contradicts the hung quarantine *);
+                q_of d2 "hung" (* exact duplicate *);
+              ]
+          in
+          write_file file (with_sum (String.concat "\n" doctored ^ "\n"));
+          let warnings = ref [] in
+          let resumed =
+            Soft.Crosscheck.check ~resume:file
+              ~on_warning:(fun w -> warnings := w :: !warnings)
+              a b
+          in
+          check_int "each collision warned" 3 (List.length !warnings);
+          check_bool "warnings name the quarantine collision" true
+            (List.for_all
+               (fun w ->
+                 let has needle =
+                   let n = String.length needle and l = String.length w in
+                   let rec find i = i + n <= l && (String.sub w i n = needle || find (i + 1)) in
+                   find 0
+                 in
+                 has "quarantine" && has "keeping the first")
+               !warnings);
+          (* first-wins: d1 stays decided, d2 keeps the hung taxonomy *)
+          check_int "only the one real quarantine survives" 1
+            (Soft.Crosscheck.quarantined_count resumed);
+          match resumed.Soft.Crosscheck.o_pairs_quarantined with
+          | [ (_, _, tax) ] -> check_bool "first taxonomy wins" true (tax = Supervise.Hung)
+          | _ -> Alcotest.fail "quarantine list malformed"))
+
 (* --- end to end: chaos hangs under the watchdog ------------------------ *)
 
 let test_supervised_hang_degrades_not_hangs () =
@@ -407,6 +485,7 @@ let suite =
     ("checkpoint v2 resumes into v3", `Quick, test_checkpoint_v2_migration);
     ("corrupt v3 checkpoint cold-starts", `Quick, test_checkpoint_corrupt_v3_cold_start);
     ("quarantine round-trips through the checkpoint", `Quick, test_checkpoint_quarantine_roundtrip);
+    ("checkpoint duplicate quarantine", `Slow, test_checkpoint_dup_quarantine);
     ("rate-1.0 hangs degrade, never hang the run", `Quick, test_supervised_hang_degrades_not_hangs);
     ("8-seed chaos-hang sweep invariant", `Quick, test_chaos_hang_sweep_invariant);
     ("supervised report byte-identical across -j", `Quick, test_supervised_jobs_report_identical);
