@@ -223,18 +223,34 @@ let table2 () =
   Printf.printf "%-14s %5s | %8s %7s %7s %7s" "" "" "time" "paths" "avg" "max";
   Printf.printf " | %8s %7s %7s %7s" "time" "paths" "avg" "max";
   Printf.printf " | %8s %7s %7s %7s\n" "time" "paths" "avg" "max";
+  let rows = ref [] in
   List.iter
     (fun (spec : Spec.t) ->
       Printf.printf "%-14s %5d" spec.Spec.label spec.message_count;
       List.iter
-        (fun agent ->
+        (fun ((name, _) as agent) ->
           let r = get_run spec agent in
+          let s = r.Runner.run_stats in
           let avg, mx = Runner.constraint_sizes r in
-          Printf.printf " | %7.2fs %7d %7.1f %7d%!" r.Runner.run_stats.Engine.cpu_time
-            (List.length r.run_paths) avg mx)
+          Printf.printf " | %7.2fs %7d %7.1f %7d%!" s.Engine.cpu_time
+            (List.length r.run_paths) avg mx;
+          rows :=
+            J_obj
+              [
+                ("test", J_str spec.Spec.id);
+                ("agent", J_str name);
+                ("wall_time", J_num s.Engine.wall_time);
+                ("cpu_time", J_num s.Engine.cpu_time);
+                ("paths", J_int s.Engine.path_count);
+                ("forks", J_int s.Engine.forks);
+                ("solver_sat_calls", J_int s.Engine.solver_sat_calls);
+                ("solver_cache_hits", J_int s.Engine.solver_cache_hits);
+              ]
+            :: !rows)
         agents;
       Printf.printf "\n%!")
-    (Spec.all ())
+    (Spec.all ());
+  record "phase1" (J_arr (List.rev !rows))
 
 (* ---------------------------------------------------------------------- *)
 (* Table 3: grouping and inconsistency checking (Reference vs Open vSwitch) *)
