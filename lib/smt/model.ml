@@ -13,6 +13,8 @@ let of_bindings bindings : t =
 
 let set (t : t) v value = Hashtbl.replace t (Expr.var_id v) value
 
+let copy : t -> t = Hashtbl.copy
+
 let get (t : t) v =
   match Hashtbl.find_opt t (Expr.var_id v) with
   | Some value -> Int64.logand value (Expr.mask (Expr.var_width v))

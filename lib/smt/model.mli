@@ -9,6 +9,9 @@ val empty : unit -> t
 val of_bindings : (Expr.var * int64) list -> t
 val set : t -> Expr.var -> int64 -> unit
 
+val copy : t -> t
+(** An independent copy: setting one never changes the other. *)
+
 val get : t -> Expr.var -> int64
 (** Value of a variable, normalized to its width; [0] when unbound. *)
 

@@ -529,12 +529,19 @@ let all_sat_row t ?budget ?retry groups_a groups_b (i, js) =
       Session.all_sat ?budget t ga.Grouping.g_cond
         (List.map (fun (j, p) -> (groups_b.(j).Grouping.g_cond, p)) pending)
     in
-    let answers = List.combine (List.map fst pending) answers in
-    List.map
-      (fun (j, f) ->
-        let r = match f with Solver.Decided r -> r | Solver.Pending _ -> List.assoc j answers in
-        ((i, j), (F_ok (verdict j r), 0)))
-      fronts
+    (* answers come in [pending] order: take them as [fronts] reaches each
+       pending pair *)
+    snd
+      (List.fold_left_map
+         (fun answers (j, f) ->
+           let r, answers =
+             match (f, answers) with
+             | Solver.Decided r, _ -> (r, answers)
+             | Solver.Pending _, r :: rest -> (r, rest)
+             | Solver.Pending _, [] -> invalid_arg "Crosscheck.all_sat_row: answer missing"
+           in
+           (answers, ((i, j), (F_ok (verdict j r), 0))))
+         answers fronts)
   with
   | row -> row
   | exception Solver.Solver_error _ -> List.map (fun j -> ((i, j), (F_fault, 0))) js

@@ -22,6 +22,8 @@ type decision = Dir of bool | Val of int64
 
 type 'ev env = {
   mutable pc_rev : Expr.boolean list;
+  mutable pc_vars_rev : Expr.var list list; (* variables of each [pc_rev] entry *)
+  uf : (int, int) Hashtbl.t; (* union-find over variable ids: [pc_rev]'s components *)
   mutable dom : Interval.t;
   mutable script : decision list; (* prescribed prefix to replay *)
   mutable taken_rev : decision list;
@@ -119,29 +121,93 @@ let mark_branch env (loc : Coverage.branch_point option) dir =
 
 let path_condition env = List.rev env.pc_rev
 
+(* Variables of a condition, computed once per condition per domain:
+   replayed paths commit the same conditions again and again.  A full memo
+   is dropped, which bounds it in long-lived processes. *)
+let vars_memo : (int, Expr.var list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
+
+let vars_of (c : Expr.boolean) =
+  let memo = Domain.DLS.get vars_memo in
+  match Hashtbl.find_opt memo c.Expr.bid with
+  | Some vs -> vs
+  | None ->
+    if Hashtbl.length memo >= 1 lsl 16 then Hashtbl.reset memo;
+    let vs = Expr.vars_of_bool c in
+    Hashtbl.add memo c.Expr.bid vs;
+    vs
+
+let rec find uf v =
+  match Hashtbl.find_opt uf v with
+  | Some p when p <> v ->
+    let r = find uf p in
+    Hashtbl.replace uf v r;
+    r
+  | _ -> v
+
+let root env (v : Expr.var) = find env.uf (Expr.var_id v)
+
 (* Solve pc ∧ extra, returning a model on success.  The interval domain
    gives a fast sound UNSAT answer first.  A budget-exhausted [Unknown]
    degrades to "arm not taken": the path set may then be incomplete, which
    SOFT tolerates by design (§4.1) — the loss is counted in
    [solver_unknowns] so reports can say so.  In witness mode the cached
-   model (the witness, never dropped) is the only world: no arm is solved. *)
+   model (the witness, never dropped) is the only world: no arm is solved.
+
+   Constraint independence (KLEE's, which Cloud9 inherits): only the slice
+   of pc that shares a variable with [extra], directly or through other
+   constraints, goes to the solver, in pc order.  The cached model
+   satisfies pc, and the rest of pc shares no variable with the slice or
+   [extra], so pc ∧ extra is Sat exactly when slice ∧ extra is, and the
+   cached model with every slice variable overwritten by the slice's model
+   (unbound ones read as 0) satisfies all of it.  With no cached model the
+   slice is the whole of pc. *)
 let solve_arm env extra =
   if env.eng.concrete then None
   else if env.eng.use_interval && Interval.add (Interval.copy env.dom) extra = Interval.Unsat
   then None
-  else
-    match
-      Solver.check ~use_interval:false ?budget:env.eng.solver_budget (extra :: env.pc_rev)
-    with
-    | Solver.Sat m -> Some m
+  else begin
+    let extra_vars = vars_of extra in
+    let roots = List.map (root env) extra_vars in
+    let in_slice vs =
+      Option.is_none env.model || List.exists (fun v -> List.mem (root env v) roots) vs
+    in
+    let slice, slice_vars =
+      List.fold_right2
+        (fun c vs ((cs, vss) as acc) -> if in_slice vs then (c :: cs, vs :: vss) else acc)
+        env.pc_rev env.pc_vars_rev ([], [])
+    in
+    match Solver.check ~use_interval:false ?budget:env.eng.solver_budget (extra :: slice) with
+    | Solver.Sat m ->
+      let merged =
+        match env.model with Some base -> Model.copy base | None -> Model.empty ()
+      in
+      List.iter
+        (List.iter (fun v -> Model.set merged v (Model.get m v)))
+        (extra_vars :: slice_vars);
+      let query = extra :: env.pc_rev in
+      if not (Model.satisfies merged query) then
+        raise (Solver.Solver_error ("sliced arm model does not satisfy the path condition", query));
+      Some merged
     | Solver.Unsat -> None
     | Solver.Unknown _ ->
       env.eng.solver_unknowns <- env.eng.solver_unknowns + 1;
       None
-
+  end
 
 let commit_constraint env c =
+  let vs = vars_of c in
   env.pc_rev <- c :: env.pc_rev;
+  env.pc_vars_rev <- vs :: env.pc_vars_rev;
+  (match vs with
+   | [] -> ()
+   | v0 :: rest ->
+     let r0 = root env v0 in
+     List.iter
+       (fun v ->
+         let r = root env v in
+         if r <> r0 then Hashtbl.replace env.uf r r0)
+       rest);
   if env.eng.use_interval then ignore (Interval.add env.dom c);
   (* keep the cached model honest: drop it if the new constraint falsifies
      it *)
@@ -339,6 +405,8 @@ let run ?(strategy = Strategy.default) ?(max_paths = max_int) ?(max_decisions = 
         let env =
           {
             pc_rev = [];
+            pc_vars_rev = [];
+            uf = Hashtbl.create 32;
             dom = Interval.create ();
             script;
             taken_rev = [];

@@ -15,6 +15,15 @@
     the whole replayed prefix, so the path's first new branch solves one
     arm, not two.
 
+    An arm query carries only the slice of the path condition that shares
+    a variable with the arm, directly or through other constraints
+    (constraint independence, as in KLEE and Cloud9).  The rest shares
+    nothing with it and the cached model already satisfies it, so the
+    answer is that of the whole query; the arm's model is the cached one
+    with the slice's variables taken from the slice's model, and it is
+    checked against the whole query.  Models only choose which arm gets
+    solved, so slicing changes no path, condition or event.
+
     This engine plays the role Cloud9 plays for SOFT: it produces, per
     explored path, the path condition, the emitted events, and the covered
     program points. *)

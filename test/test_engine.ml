@@ -274,32 +274,115 @@ let test_witness_assume_falsified () =
    under DFS: the root path solves one arm at each (the empty model picks
    the other), the deferred [x >= 10] path starts from the model its fork
    solved, so its first new branch (on [y]) solves one arm too; replayed
-   branches solve nothing.  Three SAT calls in all — without the
-   inherited model the deferred path would solve both arms of [y = 7]. *)
+   branches solve nothing.  Three arm queries in all — without the
+   inherited model the deferred path would query both arms of [y = 7].
+   Queries, not SAT calls, are counted: the [y] arm shares no variable
+   with [x < 10] or [x >= 10], so both paths send it alone and the second
+   is a cache hit. *)
 let test_deferred_path_inherits_model () =
   Solver.clear_cache ();
+  let queries () = (Solver.stats ()).Solver.queries in
   let sat_calls () = (Solver.stats ()).Solver.sat_calls in
-  let before = sat_calls () in
+  let q0 = queries () and s0 = sat_calls () in
   let r =
     run ~strategy:Strategy.Dfs (fun env ->
         let a = Engine.branch env (Expr.ult x (c16 10)) in
-        let n0 = sat_calls () in
+        let n0 = queries () in
         let b = Engine.branch env (Expr.eq y (c16 7)) in
-        Engine.emit env (Printf.sprintf "%b%b:%d" a b (sat_calls () - n0)))
+        Engine.emit env (Printf.sprintf "%b%b:%d" a b (queries () - n0)))
   in
   let events = List.concat_map (fun p -> p.Engine.events) r.Engine.results in
-  Alcotest.(check (list string)) "one solve at each new y-branch, none on replay"
+  Alcotest.(check (list string)) "one query at each new y-branch, none on replay"
     [ "truetrue:1"; "truefalse:0"; "falsetrue:1"; "falsefalse:0" ]
     events;
   Alcotest.(check int) "forks" 3 r.Engine.stats.Engine.forks;
-  Alcotest.(check int) "sat calls (run stats)" 3 r.Engine.stats.Engine.solver_sat_calls;
-  Alcotest.(check int) "sat calls (solver stats)" 3 (sat_calls () - before)
+  Alcotest.(check int) "arm queries" 3 (queries () - q0);
+  Alcotest.(check int) "sat calls (run stats)" 2 r.Engine.stats.Engine.solver_sat_calls;
+  Alcotest.(check int) "sat calls (solver stats)" 2 (sat_calls () - s0)
+
+(* Constraint independence: an arm query carries every constraint linked
+   to it through shared variables, transitively.  [x = y] reaches
+   [z = 5] only through [y = z + 1]: a slice that kept only [y]'s direct
+   neighbour would solve for some [z] other than 5, and the merged model
+   would fail the engine's check against the whole path condition. *)
+let test_slice_is_transitive () =
+  let z = Expr.var ~width:16 "engz" in
+  let r =
+    run (fun env ->
+        Engine.assume env (Expr.eq z (c16 5));
+        Engine.assume env (Expr.eq y (Expr.add z (c16 1)));
+        if Engine.branch env (Expr.eq x y) then
+          Engine.emit env (Int64.to_string (Engine.concretize env x))
+        else Engine.emit env "differ")
+  in
+  Alcotest.(check (list string)) "both arms, x pinned through y to z" [ "6"; "differ" ]
+    (List.concat_map (fun p -> p.Engine.events) r.Engine.results)
+
+(* Property: a sliced arm answer is the full query's answer.  Two disjoint
+   families of 8-bit variables, each a chain (a constraint links [v_i] and
+   [v_i+1] or reads one of them), so slices reach across several
+   constraints and leave the other family out.  The program assumes the
+   constraints, then branches on [extra]: the path survives the assumes iff
+   they are jointly Sat, each arm is taken iff [Solver.check] on the whole
+   query says Sat, and the model the engine holds after the branch (read
+   back through [concretize]) satisfies the whole path condition. *)
+let slice_var fam i = Expr.var ~width:8 (Printf.sprintf "slc_%c%d" fam i)
+
+let slice_vars = List.concat_map (fun f -> List.init 4 (slice_var f)) [ 'a'; 'b' ]
+
+let slice_cond_gen =
+  let open QCheck2.Gen in
+  let* fam = oneofl [ 'a'; 'b' ] in
+  let* i = int_range 0 2 in
+  let* link = bool in
+  let* op = Gen.cmp_gen in
+  let* bop = oneofl Expr.[ Add; Sub; Xorb; Andb ] in
+  let+ c = int_range 0 255 in
+  let lhs =
+    if link then Expr.binop bop (slice_var fam i) (slice_var fam (i + 1))
+    else slice_var fam (i + 1)
+  in
+  Expr.cmp op lhs (Expr.const ~width:8 (Int64.of_int c))
+
+let prop_slice_matches_full =
+  QCheck2.Test.make ~name:"sliced arm answers match the full query" ~count:200
+    QCheck2.Gen.(pair (list_size (int_range 0 6) slice_cond_gen) slice_cond_gen)
+    (fun (cs, extra) ->
+      let r =
+        Engine.run ~strategy:Strategy.Dfs (fun env ->
+            List.iter (Engine.assume env) cs;
+            let d = Engine.branch env extra in
+            let pc = Engine.path_condition env in
+            let values = List.map (fun e -> (e, Engine.concretize env e)) slice_vars in
+            Engine.emit env (d, pc, values))
+      in
+      let sat conds =
+        match Solver.check conds with
+        | Solver.Sat _ -> true
+        | Solver.Unsat -> false
+        | Solver.Unknown _ -> QCheck2.Test.fail_report "unbudgeted query returned Unknown"
+      in
+      let expected =
+        if not (sat cs) then []
+        else
+          List.filter
+            (fun d -> sat ((if d then extra else Expr.not_ extra) :: cs))
+            [ true; false ]
+      in
+      let events = List.concat_map (fun p -> p.Engine.events) r.Engine.results in
+      List.sort compare (List.map (fun (d, _, _) -> d) events) = List.sort compare expected
+      && List.for_all
+           (fun (_, pc, values) -> Model.satisfies (Gen.model_of_assignment values) pc)
+           events)
 
 (* Packet Out exploration pinned: path count, forks and aborts are those of
-   an engine that restarts every deferred path from an empty model (model
-   choice never changes which arms are feasible); the SAT call counts are
-   what inheriting the fork's model brings them down to (406, 373, 480
-   and 410 from an empty model). *)
+   an engine that restarts every deferred path from an empty model and
+   sends every arm query the whole path condition (model choice and
+   slicing never change which arms are feasible).  The SAT call counts are
+   what inheriting the fork's model and slicing each arm query to the
+   constraints it shares variables with bring them down to: 406, 373, 480
+   and 410 from an empty model, 238, 207, 327 and 248 unsliced; the
+   slices repeat across paths, so the exact cache answers the rest. *)
 let test_packet_out_exploration_pinned () =
   let spec = Harness.Test_spec.packet_out () in
   List.iter
@@ -313,11 +396,40 @@ let test_packet_out_exploration_pinned () =
       check "aborted" 0 s.Engine.aborted;
       check "sat_calls" sat_calls s.Engine.solver_sat_calls)
     [
-      ("ref random:1", Switches.Reference_switch.agent, Strategy.Random 1, 234, 238);
-      ("ref dfs", Switches.Reference_switch.agent, Strategy.Dfs, 203, 207);
-      ("ovs random:1", Switches.Open_vswitch.agent, Strategy.Random 1, 256, 327);
-      ("ovs dfs", Switches.Open_vswitch.agent, Strategy.Dfs, 204, 248);
+      ("ref random:1", Switches.Reference_switch.agent, Strategy.Random 1, 234, 55);
+      ("ref dfs", Switches.Reference_switch.agent, Strategy.Dfs, 203, 41);
+      ("ovs random:1", Switches.Open_vswitch.agent, Strategy.Random 1, 256, 50);
+      ("ovs dfs", Switches.Open_vswitch.agent, Strategy.Dfs, 204, 35);
     ]
+
+(* Phase-1 output pinned byte for byte: the MD5 of the [Serialize] file of
+   ref, ovs and modified on packet_out and flow_mod (200 paths, random:1),
+   recorded before arm queries were sliced.  Models steer only which arm
+   gets solved, never which paths exist, so no solver-side change may move
+   these.  The digests come from [phase1_digest.exe], built beside this
+   executable: a fresh process, because the trace keys embed expression
+   ids and so depend on everything interned before. *)
+let test_phase1_output_pinned () =
+  let out = Filename.temp_file "phase1" ".txt" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (Filename.concat (Filename.dirname Sys.executable_name) "phase1_digest.exe")
+         ~stdout:out [])
+  in
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  Sys.remove out;
+  Alcotest.(check int) "digest process exit" 0 code;
+  Alcotest.(check (list string)) "Serialize MD5 per agent and test"
+    [
+      "reference packet_out 8965031d747ceac0a29e6e5fb1f77db3";
+      "ovs packet_out c4db9389fccfd42301533f9faefd7bf0";
+      "modified packet_out cf1b73962cc1e533389f8ca697826632";
+      "reference flow_mod 78257e12fc1ff30e3657271b5393f88b";
+      "ovs flow_mod 80af0591cd812d17d4350ba4fc104671";
+      "modified flow_mod b1abbf229972b834508af01f4b8a5028";
+    ]
+    lines
 
 let test_strategy_of_string () =
   let check_some msg expected s =
@@ -366,4 +478,7 @@ let suite =
       test_deferred_path_inherits_model;
     Alcotest.test_case "packet_out exploration pinned" `Quick
       test_packet_out_exploration_pinned;
+    Alcotest.test_case "phase-1 output pinned" `Quick test_phase1_output_pinned;
+    Alcotest.test_case "arm slice is transitive" `Quick test_slice_is_transitive;
+    QCheck_alcotest.to_alcotest prop_slice_matches_full;
   ]

@@ -267,7 +267,8 @@ let test_search_pins () =
         Sat.Sat,
         [ 560; 18936; 150; 1177; 728; 63; 548286 ] );
       ( "Packet Out path condition",
-        dimacs_cnf "cnf/packet_out_path.cnf",
+        dimacs_cnf
+          (Filename.concat (Filename.dirname Sys.executable_name) "cnf/packet_out_path.cnf"),
         Sat.Sat,
         [ 4; 644; 547; 1354; 162; 150; 79354 ] );
     ]
@@ -426,7 +427,8 @@ let test_restore_after_larger_row () =
    rows on this domain's recycled row instance, disturbing them in turn:
    a budget Unknown, a query hook that raises, a cancellation mid-search.
    The last row, under a small conflict budget, must then answer exactly
-   as on a freshly restored instance (a newly spawned domain's): the same
+   as on a freshly restored instance (a newly spawned domain's, handed
+   this domain's solver configuration, certify mode included): the same
    verdicts and witnesses, the same solve count and the same learnt
    clauses carried from solve to solve. *)
 let prop_recycled_row_matches_fresh =
@@ -483,7 +485,12 @@ let prop_recycled_row_matches_fresh =
                 Cancel.clear_current ())
             rows);
       let recycled = solve_row ~budget last in
-      recycled = Domain.join (Domain.spawn (fun () -> solve_row ~budget last)))
+      let cfg = Solver.snapshot_config () in
+      recycled
+      = Domain.join
+          (Domain.spawn (fun () ->
+               Solver.apply_config cfg;
+               solve_row ~budget last)))
 
 (* Restoring a row and solving it allocate nothing in the major heap once
    the recycled instance has the template's capacity: the restore is
