@@ -531,17 +531,20 @@ let all_sat_row t ?budget ?retry groups_a groups_b (i, js) =
     in
     (* answers come in [pending] order: take them as [fronts] reaches each
        pending pair *)
-    snd
-      (List.fold_left_map
-         (fun answers (j, f) ->
-           let r, answers =
-             match (f, answers) with
-             | Solver.Decided r, _ -> (r, answers)
-             | Solver.Pending _, r :: rest -> (r, rest)
-             | Solver.Pending _, [] -> invalid_arg "Crosscheck.all_sat_row: answer missing"
-           in
-           (answers, ((i, j), (F_ok (verdict j r), 0))))
-         answers fronts)
+    match
+      List.fold_left_map
+        (fun answers (j, f) ->
+          let r, answers =
+            match (f, answers) with
+            | Solver.Decided r, _ -> (r, answers)
+            | Solver.Pending _, r :: rest -> (r, rest)
+            | Solver.Pending _, [] -> invalid_arg "Crosscheck.all_sat_row: answer missing"
+          in
+          (answers, ((i, j), (F_ok (verdict j r), 0))))
+        answers fronts
+    with
+    | [], row -> row
+    | _ :: _, _ -> invalid_arg "Crosscheck.all_sat_row: surplus answers"
   with
   | row -> row
   | exception Solver.Solver_error _ -> List.map (fun j -> ((i, j), (F_fault, 0))) js

@@ -121,22 +121,6 @@ let mark_branch env (loc : Coverage.branch_point option) dir =
 
 let path_condition env = List.rev env.pc_rev
 
-(* Variables of a condition, computed once per condition per domain:
-   replayed paths commit the same conditions again and again.  A full memo
-   is dropped, which bounds it in long-lived processes. *)
-let vars_memo : (int, Expr.var list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
-let vars_of (c : Expr.boolean) =
-  let memo = Domain.DLS.get vars_memo in
-  match Hashtbl.find_opt memo c.Expr.bid with
-  | Some vs -> vs
-  | None ->
-    if Hashtbl.length memo >= 1 lsl 16 then Hashtbl.reset memo;
-    let vs = Expr.vars_of_bool c in
-    Hashtbl.add memo c.Expr.bid vs;
-    vs
-
 let rec find uf v =
   match Hashtbl.find_opt uf v with
   | Some p when p <> v ->
@@ -167,10 +151,13 @@ let solve_arm env extra =
   else if env.eng.use_interval && Interval.add (Interval.copy env.dom) extra = Interval.Unsat
   then None
   else begin
-    let extra_vars = vars_of extra in
+    let extra_vars = Expr.vars_of_bool extra in
     let roots = List.map (root env) extra_vars in
+    (* committing a constraint puts all its variables in one set, so its
+       first variable's root stands for all of them *)
     let in_slice vs =
-      Option.is_none env.model || List.exists (fun v -> List.mem (root env v) roots) vs
+      Option.is_none env.model
+      || match vs with v :: _ -> List.mem (root env v) roots | [] -> false
     in
     let slice, slice_vars =
       List.fold_right2
@@ -196,7 +183,7 @@ let solve_arm env extra =
   end
 
 let commit_constraint env c =
-  let vs = vars_of c in
+  let vs = Expr.vars_of_bool c in
   env.pc_rev <- c :: env.pc_rev;
   env.pc_vars_rev <- vs :: env.pc_vars_rev;
   (match vs with
