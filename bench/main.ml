@@ -79,17 +79,6 @@ let json_path =
   | None ->
     if Array.exists (( = ) "--json") Sys.argv then Some "BENCH_crosscheck.json" else None
 
-(* --chaos-seed N selects the fault stream of the chaos-driven sections
-   (default 7, the historical value); the chosen seed lands in the JSON so
-   a recorded run names the stream it measured *)
-let chaos_seed =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--chaos-seed" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  Option.value ~default:7 (find 1)
-
 let json_sections : (string * json) list ref = ref []
 
 let record name j = json_sections := (name, j) :: !json_sections
@@ -828,82 +817,6 @@ let incremental_crosscheck () =
        ])
 
 (* ---------------------------------------------------------------------- *)
-(* Supervised crosscheck: watchdog kills + quarantine accounting under a
-   chaos hang schedule *)
-
-let supervised_crosscheck () =
-  header
-    "Supervised crosscheck: watchdog deadline + chaos hangs (retry/quarantine accounting)";
-  let spec = Spec.cs_flow_mods () in
-  let a = Soft.Grouping.of_run (get_run spec (List.nth agents 0)) in
-  let b = Soft.Grouping.of_run (get_run spec (List.nth agents 2)) in
-  (* clean baseline: supervision enabled but nothing tripping — this is the
-     common production configuration and must not perturb the report *)
-  Smt.Solver.clear_cache ();
-  let clean = Soft.Crosscheck.check ~jobs:1 a b in
-  let pol =
-    Harness.Supervise.policy ~deadline_ms:250 ~max_retries:1 ~backoff_ms:[ 1 ] ()
-  in
-  Smt.Solver.clear_cache ();
-  let calm = Soft.Crosscheck.check ~jobs:1 ~supervise:pol a b in
-  assert (Soft.Crosscheck.count calm = Soft.Crosscheck.count clean);
-  assert (Soft.Crosscheck.quarantined_count calm = 0);
-  (* stormy run: hangs + solver faults injected; the watchdog kills each
-     hang at the deadline, the ladder retries, strikes-out pairs quarantine *)
-  let seed = chaos_seed and rate = 0.08 in
-  Harness.Chaos.install (Harness.Chaos.plan ~seed ~rate ());
-  Smt.Solver.clear_cache ();
-  let solver_time_before = (Smt.Solver.stats ()).Smt.Solver.solver_time in
-  let t0 = Unix.gettimeofday () in
-  let warnings = ref 0 in
-  let o =
-    Soft.Crosscheck.check ~jobs:1 ~supervise:pol ~on_warning:(fun _ -> incr warnings) a b
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  Harness.Chaos.deactivate ();
-  Smt.Mono.reset_skew ();
-  (* each injected clock jump advanced the monotonic clock a day, which the
-     solver-time gauge absorbed; clamp the section's contribution back to
-     its real wall time so the bench's closing totals stay meaningful *)
-  (Smt.Solver.stats ()).Smt.Solver.solver_time <- solver_time_before +. wall;
-  let tax t =
-    List.length
-      (List.filter (fun (_, _, tx) -> tx = t) o.Soft.Crosscheck.o_pairs_quarantined)
-  in
-  let quarantined = Soft.Crosscheck.quarantined_count o in
-  Printf.printf
-    "pairs: %d checked, %d inconsistencies (clean run: %d), %d undecided\n"
-    o.Soft.Crosscheck.o_pairs_checked (Soft.Crosscheck.count o)
-    (Soft.Crosscheck.count clean)
-    (Soft.Crosscheck.undecided_count o);
-  Printf.printf
-    "supervision: %d retries, %d quarantined (hung %d / crashed %d / oom %d / faulted \
-     %d) in %.2fs wall\n"
-    o.Soft.Crosscheck.o_retries quarantined
-    (tax Harness.Supervise.Hung) (tax Harness.Supervise.Crashed)
-    (tax Harness.Supervise.Oom) (tax Harness.Supervise.Faulted)
-    wall;
-  record "supervision"
-    (J_obj
-       [
-         ("chaos_seed", J_int seed);
-         ("chaos_rate", J_num rate);
-         ("deadline_ms", J_int 250);
-         ("max_retries", J_int 1);
-         ("pairs_checked", J_int o.Soft.Crosscheck.o_pairs_checked);
-         ("inconsistencies", J_int (Soft.Crosscheck.count o));
-         ("undecided", J_int (Soft.Crosscheck.undecided_count o));
-         ("retries", J_int o.Soft.Crosscheck.o_retries);
-         ("quarantined", J_int quarantined);
-         ("quarantined_hung", J_int (tax Harness.Supervise.Hung));
-         ("quarantined_crashed", J_int (tax Harness.Supervise.Crashed));
-         ("quarantined_oom", J_int (tax Harness.Supervise.Oom));
-         ("quarantined_faulted", J_int (tax Harness.Supervise.Faulted));
-         ("warnings", J_int !warnings);
-         ("wall_time", J_num wall);
-       ])
-
-(* ---------------------------------------------------------------------- *)
 (* Fault-schedule exploration: how many draw sites a crosscheck exposes,
    systematic schedule throughput, and the cost of ddmin shrinking *)
 
@@ -1071,7 +984,6 @@ let () =
   ablation_structured_inputs ();
   ablation parallel_crosscheck;
   ablation incremental_crosscheck;
-  supervised_crosscheck ();
   exploration_bench ();
   if Sys.getenv_opt "SOFT_BENCH_SKIP_MICRO" = None then microbenchmarks ();
   header "Summary";

@@ -180,73 +180,6 @@ let apply_budget budget_ms max_conflicts =
   Smt.Solver.set_default_budget
     (Smt.Solver.budget ?max_conflicts ?timeout_ms:budget_ms ())
 
-(* --- the supervision layer (watchdog + quarantine) -------------------- *)
-
-let task_deadline_ms =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "task-deadline-ms" ] ~docv:"MS"
-        ~doc:
-          "Enable watchdog supervision: a monitor domain preemptively cancels \
-           any crosscheck pair attempt that overruns $(docv) of wall clock, \
-           even mid-bit-blast where cooperative budgets cannot reach.  Killed \
-           attempts are retried with backoff and finally quarantined \
-           (recorded undecided with a failure taxonomy, and skipped by a \
-           checkpoint resume).")
-
-let max_retries =
-  Arg.(
-    value
-    & opt int 2
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:
-          "Retries after a supervised attempt is killed or crashes, before the \
-           pair is quarantined (default 2).  Only meaningful with \
-           --task-deadline-ms or --mem-ceiling-mb.")
-
-let mem_ceiling_mb =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mem-ceiling-mb" ] ~docv:"MB"
-        ~doc:
-          "Enable the memory-pressure guard: when the major heap crosses \
-           $(docv) MiB the monitor sheds the solver memo caches and degrades \
-           in-flight queries to undecided instead of letting the process die.")
-
-let backoff_ms =
-  let ladder_conv =
-    Arg.conv ~docv:"MS,MS,..."
-      ( (fun s ->
-          let parts = String.split_on_char ',' s in
-          let steps = List.filter_map int_of_string_opt parts in
-          if List.length steps <> List.length parts || steps = [] then
-            Error (`Msg ("expected a comma-separated list of integers, got " ^ s))
-          else if List.exists (fun b -> b < 0) steps then
-            Error (`Msg "backoff steps must be non-negative")
-          else Ok steps),
-        fun fmt l ->
-          Format.fprintf fmt "%s" (String.concat "," (List.map string_of_int l)) )
-  in
-  Arg.(
-    value
-    & opt ladder_conv [ 10; 50; 250 ]
-    & info [ "backoff-ms" ] ~docv:"MS,MS,..."
-        ~doc:
-          "Backoff ladder between supervised retries, one step per retry (the \
-           last step repeats; default 10,50,250).  Each sleep gets \
-           deterministic jitter seeded from the pair index.")
-
-(* Supervision engages only when a flag that needs the monitor is given;
-   otherwise the crosscheck runs the exact unsupervised code path. *)
-let make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb =
-  match (task_deadline_ms, mem_ceiling_mb) with
-  | None, None -> None
-  | deadline_ms, mem_ceiling_mb ->
-    Some
-      (Harness.Supervise.policy ?deadline_ms ~max_retries ~backoff_ms ?mem_ceiling_mb ())
-
 (* --- the self-validation layer ---------------------------------------- *)
 
 let certify =
@@ -481,8 +414,7 @@ let check_cmd =
              restartable in place.")
   in
   let run file_a file_b split budget_ms max_conflicts checkpoint resume jobs no_incremental
-      certify chaos_seed chaos_rate chaos_points replay record task_deadline_ms
-      max_retries backoff_ms mem_ceiling_mb =
+      certify chaos_seed chaos_rate chaos_points replay record =
     apply_budget budget_ms max_conflicts;
     apply_certify certify;
     match setup_chaos ?points:chaos_points ~replay ~record chaos_seed chaos_rate with
@@ -490,12 +422,11 @@ let check_cmd =
       Format.eprintf "soft: %s@." msg;
       2
     | Ok () -> (
-      let supervise = make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb in
       let a = Soft.Grouping.of_saved (Harness.Serialize.load file_a) in
       let b = Soft.Grouping.of_saved (Harness.Serialize.load file_b) in
       match
         Soft.Crosscheck.check ?split ?checkpoint ?resume ~jobs
-          ~incremental:(not no_incremental) ?supervise a b
+          ~incremental:(not no_incremental) a b
       with
       | outcome ->
         Format.printf "%a@." Soft.Crosscheck.pp outcome;
@@ -521,9 +452,7 @@ let check_cmd =
     Term.(
       const run $ file_a $ file_b $ split $ budget_ms $ max_conflicts $ checkpoint $ resume
       $ jobs $ no_incremental $ certify $ chaos_seed $ chaos_rate $ chaos_points
-      $ replay_schedule_arg
-      $ record_schedule_arg $ task_deadline_ms $ max_retries
-      $ backoff_ms $ mem_ceiling_mb)
+      $ replay_schedule_arg $ record_schedule_arg)
 
 (* --- compare --------------------------------------------------------- *)
 
@@ -551,11 +480,9 @@ let compare_cmd =
   in
   let run agent_a agent_b test cases max_paths strategy split budget_ms max_conflicts
       deadline_ms jobs no_incremental certify validate validate_reproducers
-      chaos_seed chaos_rate chaos_points replay record task_deadline_ms max_retries backoff_ms
-      mem_ceiling_mb =
+      chaos_seed chaos_rate chaos_points replay record =
     apply_budget budget_ms max_conflicts;
     apply_certify certify;
-    let supervise = make_supervise task_deadline_ms max_retries backoff_ms mem_ceiling_mb in
     match setup_chaos ?points:chaos_points ~replay ~record chaos_seed chaos_rate with
     | Error msg ->
       Format.eprintf "soft: %s@." msg;
@@ -563,7 +490,7 @@ let compare_cmd =
     | Ok () -> (
       match
         Soft.Pipeline.compare_agents ~max_paths ~strategy ?deadline_ms ?split ~jobs
-          ~incremental:(not no_incremental) ?supervise ~validate agent_a agent_b test
+          ~incremental:(not no_incremental) ~validate agent_a agent_b test
       with
       | c ->
         Format.printf "%a@." Soft.Pipeline.pp_comparison c;
@@ -599,9 +526,7 @@ let compare_cmd =
       const run $ agent_a $ agent_b $ test $ cases $ max_paths $ strategy $ split
       $ budget_ms $ max_conflicts $ deadline_ms $ jobs $ no_incremental
       $ certify $ validate $ validate_reproducers
-      $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg $ record_schedule_arg
-      $ task_deadline_ms $ max_retries
-      $ backoff_ms $ mem_ceiling_mb)
+      $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg $ record_schedule_arg)
 
 (* --- explore (systematic fault-schedule search) ------------------------ *)
 

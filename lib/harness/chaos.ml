@@ -40,25 +40,22 @@ type point =
   | Agent_step
   | Checkpoint_truncate
   | Clock_jump
-  | Hang
 
 let point_name = function
   | Solver_fault -> "solver-fault"
   | Agent_step -> "agent-step"
   | Checkpoint_truncate -> "checkpoint-truncate"
   | Clock_jump -> "clock-jump"
-  | Hang -> "hang"
 
-let npoints = 5
+let npoints = 4
 
 let point_index = function
   | Solver_fault -> 0
   | Agent_step -> 1
   | Checkpoint_truncate -> 2
   | Clock_jump -> 3
-  | Hang -> 4
 
-let all_points = [ Solver_fault; Agent_step; Checkpoint_truncate; Clock_jump; Hang ]
+let all_points = [ Solver_fault; Agent_step; Checkpoint_truncate; Clock_jump ]
 
 let point_of_name s =
   List.find_opt (fun pt -> point_name pt = s) all_points
@@ -83,9 +80,9 @@ type plan = {
      keys have drawn, and hence not on worker count or scheduling.  The
      crosscheck keys its per-pair solver-fault scope by pair index, which
      is what keeps a [-j N] chaos report byte-identical to [-j 1].
-     Streams persist for the plan's lifetime, so a retry of the same key
-     (supervised re-attempts) continues the key's stream rather than
-     replaying its first draw. *)
+     Streams persist for the plan's lifetime, so a second scope with the
+     same key continues the key's stream rather than replaying its first
+     draw. *)
   p_counts : (int * int option, int) Hashtbl.t;
   (* draws made so far per (point, key): a draw's zero-based index within
      its own stream.  The per-key count — not the global draw count — is
@@ -239,30 +236,6 @@ let clock_jump_seconds = 86400.0
 let maybe_clock_jump ?key () =
   if fire ?key Clock_jump then Smt.Mono.advance clock_jump_seconds
 
-(* A hung task: sleep until the watchdog cancels us, then surface the
-   cancellation.  Drawn only when a supervision token is installed — an
-   unsupervised run has no watchdog, so firing would freeze the worker
-   forever and the point would test nothing (it also keeps this point
-   invisible, draws included, to every pre-supervision chaos test).  The
-   safety cap bounds the sweep tests even if a watchdog dies; the skewed
-   clock may cut it short after a clock-jump fault, which is harmless. *)
-let hang_safety_cap_s = 30.0
-
-let maybe_hang ?key () =
-  match Smt.Cancel.current () with
-  | None -> ()
-  | Some tok ->
-    if fire ?key Hang then begin
-      let t0 = Smt.Mono.now () in
-      while
-        (not (Smt.Cancel.is_cancelled tok))
-        && Smt.Mono.elapsed t0 < hang_safety_cap_s
-      do
-        Unix.sleepf 0.0005
-      done;
-      Smt.Cancel.check tok
-    end
-
 let maybe_truncate_file path =
   if fire Checkpoint_truncate then begin
     let size = (Unix.stat path).Unix.st_size in
@@ -272,15 +245,14 @@ let maybe_truncate_file path =
 (* Deliver solver faults and clock jumps to every query [f] issues that
    reaches the SAT core.  The hook is installed only for the dynamic
    extent of [f] — the crosscheck pair scope — never during path
-   exploration (see the soundness contract above).  [~key] routes all
-   three draws through keyed streams; the crosscheck keys each scope by
+   exploration (see the soundness contract above).  [~key] routes both
+   draws through keyed streams; the crosscheck keys each scope by
    its pair index so the fault pattern is worker-count-invariant. *)
 let with_solver_faults ?key f =
   match !active with
   | None -> f ()
   | Some _ ->
     Smt.Solver.set_query_hook (fun () ->
-        maybe_hang ?key ();
         maybe_clock_jump ?key ();
         maybe_raise ?key Solver_fault);
     Fun.protect ~finally:(fun () -> Smt.Solver.set_query_hook (fun () -> ())) f

@@ -1,10 +1,9 @@
 (** Deterministic internal fault injection.
 
-    A seeded {!plan} decides, at five keyed injection points, whether a
+    A seeded {!plan} decides, at four keyed injection points, whether a
     fault fires: a solver query raising, an agent input step raising, a
-    checkpoint file truncating right after its write, the monotonic
-    clock jumping past every deadline, and a solver task hanging until
-    the supervision watchdog kills it.  Each point draws from its own
+    checkpoint file truncating right after its write, and the monotonic
+    clock jumping past every deadline.  Each point draws from its own
     stream seeded from [(seed, point)], so one point's schedule does not
     shift another's and a seed reproduces the exact fault pattern.
 
@@ -24,10 +23,6 @@ type point =
   | Agent_step
   | Checkpoint_truncate
   | Clock_jump
-  | Hang
-      (** a solver task stalls until the supervision watchdog cancels it;
-          drawn only when a {!Smt.Cancel} token is installed (i.e. under
-          supervision), so unsupervised runs can never freeze *)
 
 val point_name : point -> string
 val all_points : point list
@@ -89,17 +84,11 @@ val maybe_raise : ?key:int -> point -> unit
     whether it fires depends only on how many draws {e that key} has
     made, not on the interleaving of other keys' draws — which makes a
     keyed fault pattern invariant under worker count and scheduling.
-    Keyed streams persist for the plan's lifetime, so retries of the
-    same key continue its stream. *)
+    Keyed streams persist for the plan's lifetime, so a second scope
+    with the same key continues its stream. *)
 
 val maybe_clock_jump : ?key:int -> unit -> unit
 (** Draw at [Clock_jump]; on fire, {!Smt.Mono.advance} the clock a day. *)
-
-val maybe_hang : ?key:int -> unit -> unit
-(** Draw at [Hang] — but only when the calling domain carries a
-    {!Smt.Cancel} token; a no-op otherwise (no draw consumed).  On fire,
-    sleep until the watchdog cancels the token (safety-capped), then raise
-    the cancellation.  Exercises the preemptive-kill path end to end. *)
 
 val maybe_truncate_file : string -> unit
 (** Draw at [Checkpoint_truncate]; on fire, truncate the file to half its
@@ -111,10 +100,10 @@ val fires : ?key:int -> point -> bool
     consumed then).  For callers that must stage a fault themselves. *)
 
 val with_solver_faults : ?key:int -> (unit -> 'a) -> 'a
-(** Run a thunk with solver faults, clock jumps and hangs delivered to
+(** Run a thunk with solver faults and clock jumps delivered to
     every query reaching the SAT core (via {!Smt.Solver.set_query_hook}); the
     hook is removed on exit.  Crosscheck wraps each pair decision in
-    this, keyed by the pair's index ([~key] routes all three draws
+    this, keyed by the pair's index ([~key] routes both draws
     through keyed streams — see {!maybe_raise}) so the chaos fault
     pattern is identical at every [-j]; the engine's exploration phase
     must never be wrapped. *)

@@ -56,8 +56,7 @@ val run :
     task's [Error] outcome and every other task still runs.  With
     [~fail_fast:true] the first task exception instead cancels the
     remaining unstarted tasks, every domain is joined, and the exception
-    is re-raised with its original backtrace — today's pre-supervision
-    semantics.  An exception from [on_result] always cancels outstanding
+    is re-raised with its original backtrace.  An exception from [on_result] always cancels outstanding
     work, joins all domains, then propagates.
 
     @raise Invalid_argument if [jobs < 1]. *)

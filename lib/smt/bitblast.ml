@@ -183,10 +183,6 @@ let rec blast_bv ctx (e : Expr.bv) =
   match find ctx (fun c -> c.bv_memo) e.id with
   | Some bits -> bits
   | None ->
-    (* Poll on every memo miss: a pathological blast (wide multiplies,
-       deep shifter chains) generates gates far from any CDCL budget
-       checkpoint, and this is where a watchdog deadline must land. *)
-    Cancel.poll ();
     let bits =
       match e.node with
       | Expr.Const c -> bits_of_const ctx e.width c
@@ -266,7 +262,6 @@ and blast_bool ctx (b : Expr.boolean) =
   match find ctx (fun c -> c.bool_memo) b.bid with
   | Some l -> l
   | None ->
-    Cancel.poll ();
     let l =
       match b.bnode with
       | Expr.True -> ctx.tru

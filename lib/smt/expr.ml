@@ -58,26 +58,7 @@ let norm width v = Int64.logand v (mask width)
 
 let intern_lock = Mutex.create ()
 
-(* Poll before taking the lock: a cancelled worker stuck in an interning
-   storm aborts here instead of growing the global tables further.  Outside
-   a supervised task the poll is two loads. *)
-let interned f =
-  Cancel.poll ();
-  Mutex.protect intern_lock f
-
-(* Advisory bound on the hash-cons tables.  True eviction is impossible —
-   node ids are identity, and live expressions reference their children by
-   physical pointer — so the bound converts an interning storm into a
-   catchable exception instead of unbounded growth.  0 means unlimited. *)
-exception Node_limit of int
-
-let node_limit = Atomic.make 0
-
-let set_node_limit n =
-  Atomic.set node_limit (match n with None -> 0 | Some n when n > 0 -> n | Some _ -> 0)
-
-let get_node_limit () =
-  match Atomic.get node_limit with 0 -> None | n -> Some n
+let interned f = Mutex.protect intern_lock f
 
 (* ------------------------------------------------------------------ *)
 (* Variable registry: names are globally unique handles so that two
@@ -137,19 +118,13 @@ let bool_table : (bool_key, boolean) Hashtbl.t = Hashtbl.create 4096
 let bv_counter = ref 0
 let bool_counter = ref 0
 
-(* Callers hold [intern_lock]. *)
-let live_nodes_unlocked () =
-  Hashtbl.length bv_table + Hashtbl.length bool_table + Hashtbl.length var_table
-
-let live_nodes () = interned live_nodes_unlocked
+let live_nodes () =
+  interned (fun () ->
+      Hashtbl.length bv_table + Hashtbl.length bool_table + Hashtbl.length var_table)
 
 let table_sizes () =
   interned (fun () ->
       (Hashtbl.length bv_table, Hashtbl.length bool_table, Hashtbl.length var_table))
-
-let check_node_limit () =
-  let lim = Atomic.get node_limit in
-  if lim > 0 && live_nodes_unlocked () >= lim then raise (Node_limit lim)
 
 let key_of_bv_node width node =
   match node with
@@ -178,7 +153,6 @@ let intern_bv width node =
       match Hashtbl.find_opt bv_table key with
       | Some e -> e
       | None ->
-        check_node_limit ();
         let e = { id = !bv_counter; width; node } in
         incr bv_counter;
         Hashtbl.add bv_table key e;
@@ -190,7 +164,6 @@ let intern_bool node =
       match Hashtbl.find_opt bool_table key with
       | Some e -> e
       | None ->
-        check_node_limit ();
         let e = { bid = !bool_counter; bnode = node } in
         incr bool_counter;
         Hashtbl.add bool_table key e;

@@ -200,21 +200,8 @@ val bool_to_string : boolean -> string
     The interning tables are global and append-only: node ids are identity
     and live expressions hold physical pointers to their children, so
     nothing can ever be evicted without breaking hash-consing.  Growth is
-    therefore {e bounded} advisorily ({!set_node_limit}) and {e reported}
-    ({!live_nodes}, folded into solver stats) rather than reclaimed. *)
-
-exception Node_limit of int
-(** Raised by an interning miss once the tables hold at least the
-    configured number of nodes.  The payload is the limit.  Under
-    supervision this is classified as a memory failure and the offending
-    pair is retried/quarantined; existing expressions stay valid. *)
-
-val set_node_limit : int option -> unit
-(** Cap the {e total} number of interned nodes (bitvector + boolean +
-    variables).  [None] (the default) removes the cap.  The cap only stops
-    {e new} nodes; lookups of existing nodes always succeed. *)
-
-val get_node_limit : unit -> int option
+    therefore {e reported} ({!live_nodes}, folded into solver stats)
+    rather than reclaimed. *)
 
 val live_nodes : unit -> int
 (** Total interned nodes across the bitvector, boolean and variable

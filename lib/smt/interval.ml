@@ -207,10 +207,7 @@ let check conds =
   let t = create () in
   let rec go = function
     | [] -> Unknown
-    | c :: rest ->
-      (* per-condition poll: long condition lists are a pre-SAT hot path *)
-      Cancel.poll ();
-      (match add t c with Unsat -> Unsat | Unknown -> go rest)
+    | c :: rest -> ( match add t c with Unsat -> Unsat | Unknown -> go rest)
   in
   go conds
 

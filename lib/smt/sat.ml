@@ -622,12 +622,7 @@ let solve ?(assumptions = no_assumptions) ?max_conflicts ?max_decisions ?deadlin
        decision *)
     s.trail_lim <- grow s.trail_lim (s.nvars + nassume + 1) 0;
     let conflicts0 = s.conflicts and decisions0 = s.decisions in
-    (* Fetch the supervision token once: the per-conflict/per-decision check
-       is then a single atomic load.  Cancellation raises out of the search;
-       the trail is unwound by the next [solve]'s [cancel_until]. *)
-    let cancel_tok = Cancel.current () in
     let over_budget () =
-      (match cancel_tok with Some t -> Cancel.check t | None -> ());
       if match max_conflicts with
         | Some n -> s.conflicts - conflicts0 >= n
         | None -> false

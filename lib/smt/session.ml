@@ -12,8 +12,8 @@
    holds, and the Tseitin literal is [C_B(j)]'s value in the model); its
    selector is then switched off by a unit [¬s_j] and the row solved
    again, until a plain Unsat.  [pair] decides one candidate by the
-   assumption solve [[s_j]]: the shape under a chaos plan or supervision,
-   whose fault streams draw once per pair.  The template holds one side
+   assumption solve [[s_j]]: the shape under a chaos plan, whose fault
+   streams draw once per pair.  The template holds one side
    only, not both agents' conditions (the deleted shared base of DESIGN
    §5.9), and every row starts from a clean copy of it.
 
@@ -74,7 +74,6 @@ let confirm budget conds =
    query needed), the hook fired between anchoring and search, one
    [sat_calls] — plus one [assumption_solves]. *)
 let solve ?assumptions r budget t0 =
-  Cancel.poll ();
   let st = Solver.stats () in
   let sat = r.r_ctx.Bitblast.sat in
   let deadline =

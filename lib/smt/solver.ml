@@ -347,7 +347,7 @@ let apply_config cfg =
    resetting keeps their arrays and tables, so a query allocates nothing
    per clause and nothing per query that feeds the major heap (DESIGN
    §5.12), and the search is the one a fresh instance makes.  The reset
-   comes first, so a query that raised (budget, hook, cancellation) leaves
+   comes first, so a query that raised (a fault from the query hook) leaves
    nothing behind.  Nothing may issue a query while one is in flight on
    the same domain — the query hook included. *)
 let run_sat ?(fire_hook = true) c budget conds =

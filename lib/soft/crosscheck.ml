@@ -26,9 +26,9 @@
    selector, into a frozen {!Smt.Session.template}.  Each row restores a
    recycled per-domain instance from it, asserts C_A(i) and asks for
    "some selector" until Unsat ({!Session.all_sat}).  That is the fast
-   path, at every budget and every [-j].  Under a chaos plan or
-   supervision, whose fault streams are defined per pair, the pairs of a
-   restored row are solved one at a time ({!Session.pair}).  The per-pair
+   path, at every budget and every [-j].  Under a chaos plan, whose fault
+   streams are defined per pair, the pairs of a restored row are solved
+   one at a time ({!Session.pair}).  The per-pair
    scratch loop ([~incremental:false]) is the reference both are tested
    against, and also serves certify mode, [?split] and budget Unknowns.
    Reports are byte-identical either way (see [session.ml]).
@@ -41,7 +41,6 @@ open Smt
 module Trace = Openflow.Trace
 module Chaos = Harness.Chaos
 module Pool = Harness.Pool
-module Supervise = Harness.Supervise
 
 type inconsistency = {
   i_result_a : Trace.result;
@@ -67,14 +66,6 @@ type outcome = {
      rather than an honest Unknown; they are counted in
      [o_pairs_undecided] too, and left out of checkpoints so a resumed
      run retries them *)
-  o_pairs_quarantined : (string * string * Supervise.taxonomy) list;
-  (* pairs the supervision layer gave up on after the full retry ladder,
-     with the last strike's failure taxonomy.  Counted in
-     [o_pairs_undecided] too, and — unlike transient faults — persisted
-     in the checkpoint, so a resume skips known-poison pairs instead of
-     re-dying on them *)
-  o_retries : int;
-  (* supervised attempts beyond each pair's first, summed over the run *)
   o_check_time : float; (* seconds in the intersection stage (Table 3) *)
 }
 
@@ -160,9 +151,6 @@ type pair_outcome =
   | P_clean
   | P_undecided
   | P_inc of (Expr.var * int64) list (* witness bindings *)
-  | P_quarantined of Supervise.taxonomy
-      (* supervision exhausted the retry ladder on this pair; a resume
-         skips it instead of re-dying on it *)
 
 (* The checkpoint ties itself to the exact grouped inputs via a digest of
    every group's result key, path count and serialized condition, so
@@ -206,8 +194,6 @@ let write_checkpoint path ~test ~agent_a ~agent_b ~fp (decided : (int * int, pai
       match outcome with
       | P_clean -> Printf.bprintf buf "d %d %d\n" i j
       | P_undecided -> Printf.bprintf buf "u %d %d\n" i j
-      | P_quarantined tax ->
-        Printf.bprintf buf "q %d %d %s\n" i j (Supervise.taxonomy_to_string tax)
       | P_inc bindings ->
         Printf.bprintf buf "i %d %d\n" i j;
         List.iter
@@ -280,9 +266,9 @@ let read_checkpoint path ~test ~agent_a ~agent_b ~fp ~on_warning =
           | Some l -> fail (Printf.sprintf "expected '%s %s', got '%s'" key expected l)
           | None -> fail "truncated header"
         in
-        (* v2 is read transparently: same body grammar minus quarantine
-           lines, so a v2 resume simply starts with an empty quarantine.
-           The next snapshot is written as v3. *)
+        (* v2 and v3 share this grammar, so v2 is read transparently and
+           the next snapshot is written as v3.  A [q] record names a pair
+           with no verdict to report; it is refused below. *)
         (match line () with
          | Some "soft-checkpoint 2" | Some "soft-checkpoint 3" -> ()
          | _ -> fail "bad magic");
@@ -317,41 +303,11 @@ let read_checkpoint path ~test ~agent_a ~agent_b ~fp ~on_warning =
                | _ -> fail ("bad witness binding: " ^ l))
              | _ -> fail ("bad witness line: " ^ l))
         in
-        (* Record a pair outcome, policing quarantine collisions.  A
-           well-formed snapshot mentions each pair at most once; writers
-           that crash between retry attempts have however produced files
-           with a duplicate — or worse, contradictory — [q] record for the
-           same pair.  Taking the last silently would let a later record
-           overwrite a real verdict with a quarantine (or vice versa), so
-           any collision involving a quarantine keeps the FIRST record and
-           warns.  First-wins matches the append order of the writer: the
-           earliest record reflects the state actually reached. *)
-        let record ij outcome =
-          match Hashtbl.find_opt decided ij with
-          | None -> Hashtbl.replace decided ij outcome
-          | Some prev ->
-            let involves_quarantine =
-              match (prev, outcome) with
-              | P_quarantined _, _ | _, P_quarantined _ -> true
-              | _ -> false
-            in
-            if involves_quarantine then
-              on_warning
-                (Printf.sprintf
-                   "checkpoint %s: %s record for pair (%d,%d); keeping the first"
-                   path
-                   (match (prev, outcome) with
-                    | P_quarantined a, P_quarantined b when a = b ->
-                      "duplicate quarantine"
-                    | _ -> "contradictory quarantine")
-                   (fst ij) (snd ij))
-            else Hashtbl.replace decided ij outcome
-        in
         let cur_inc = ref None in
         let flush () =
           match !cur_inc with
           | Some (ij, bindings) ->
-            record ij (P_inc (List.rev bindings));
+            Hashtbl.replace decided ij (P_inc (List.rev bindings));
             cur_inc := None
           | None -> ()
         in
@@ -361,25 +317,14 @@ let read_checkpoint path ~test ~agent_a ~agent_b ~fp ~on_warning =
           | Some "" -> go ()
           | Some l when String.length l >= 2 && l.[0] = 'd' && l.[1] = ' ' ->
             flush ();
-            record (parse_ij l) P_clean;
+            Hashtbl.replace decided (parse_ij l) P_clean;
             go ()
           | Some l when String.length l >= 2 && l.[0] = 'u' && l.[1] = ' ' ->
             flush ();
-            record (parse_ij l) P_undecided;
+            Hashtbl.replace decided (parse_ij l) P_undecided;
             go ()
           | Some l when String.length l >= 2 && l.[0] = 'q' && l.[1] = ' ' ->
-            flush ();
-            (match String.split_on_char ' ' l with
-             | [ _; i; j; tax ] -> (
-               match
-                 ( int_of_string_opt i,
-                   int_of_string_opt j,
-                   Supervise.taxonomy_of_string tax )
-               with
-               | Some i, Some j, Some tax -> record (i, j) (P_quarantined tax)
-               | _ -> fail ("bad quarantine line: " ^ l))
-             | _ -> fail ("bad quarantine line: " ^ l));
-            go ()
+            fail ("a q record carries no verdict: " ^ l)
           | Some l when String.length l >= 2 && l.[0] = 'i' && l.[1] = ' ' ->
             flush ();
             cur_inc := Some (parse_ij l, []);
@@ -400,14 +345,9 @@ let read_checkpoint path ~test ~agent_a ~agent_b ~fp ~on_warning =
 
 let default_warning msg = Printf.eprintf "soft: warning: %s\n%!" msg
 
-(* What one pair's solve attempt chain ultimately produced.  [F_fault] is
-   the unsupervised transient degradation (not checkpointed; a resume
-   retries the pair); [F_quarantine] is supervision's terminal strike-out
-   (checkpointed; a resume skips the pair). *)
-type pair_fate =
-  | F_ok of pair_verdict
-  | F_fault
-  | F_quarantine of Supervise.taxonomy * string
+(* What one pair's solve attempt produced.  [F_fault] is a transient
+   degradation: not checkpointed, so a resume retries the pair. *)
+type pair_fate = F_ok of pair_verdict | F_fault
 
 (* Hooks carrying the caller's solver context across a {!Pool.run}: each
    fresh worker domain starts with a default [Solver] context, so
@@ -486,8 +426,8 @@ let guard_pair ~key f =
      by pair on the same row, and a pair still Unknown goes down the
      scratch ladder.
    - per pair: each pair gets its own attempt.  This is the shape under a
-     chaos plan or supervision, whose fault streams, draw table and
-     explore corpus are all defined per pair.  A restored row decides
+     chaos plan, whose fault streams, draw table and explore corpus are
+     all defined per pair.  A restored row decides
      each pair by one assumption solve ({!Session.pair}), and
      [~incremental:false], [?split] and certify mode use {!sat_pair} on
      fresh instances (the reference path; an assumption-failure Unsat has
@@ -540,32 +480,22 @@ let all_sat_row t ?budget ?retry groups_a groups_b (i, js) =
             | Solver.Pending _, r :: rest -> (r, rest)
             | Solver.Pending _, [] -> invalid_arg "Crosscheck.all_sat_row: answer missing"
           in
-          (answers, ((i, j), (F_ok (verdict j r), 0))))
+          (answers, ((i, j), F_ok (verdict j r))))
         answers fronts
     with
     | [], row -> row
     | _ :: _, _ -> invalid_arg "Crosscheck.all_sat_row: surplus answers"
   with
   | row -> row
-  | exception Solver.Solver_error _ -> List.map (fun j -> ((i, j), (F_fault, 0))) js
+  | exception Solver.Solver_error _ -> List.map (fun j -> ((i, j), F_fault)) js
 
-(* One row, pair by pair.  Without supervision ([sup = None]) every pair
-   gets one guarded attempt.  With it, each attempt runs under a watchdog
-   token and the retry/backoff/quarantine ladder; retries leave the row
-   and rerun from scratch, and a watchdog kill of the row's own restore
-   and blast sends the whole row down the scratch path instead of
-   killing it. *)
-let per_pair_row ~sup ~template ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
+(* One row, pair by pair: every pair gets one guarded attempt, an
+   assumption solve on the restored row when there is a template. *)
+let per_pair_row ~template ?split ?budget ?retry ~pair_key groups_a groups_b (i, js) =
   let ga = groups_a.(i) in
   let scratch j = sat_pair ?split ?budget ?retry ga groups_b.(j) in
-  let row =
-    Option.bind template (fun t ->
-        let open_row () = Session.row t ga.Grouping.g_cond in
-        match sup with
-        | None -> Some (open_row ())
-        | Some sup -> Result.to_option (Supervise.run sup open_row))
-  in
-  let first_attempt j =
+  let row = Option.map (fun t -> Session.row t ga.Grouping.g_cond) template in
+  let attempt j =
     match row with
     | None -> scratch j
     | Some r -> (
@@ -576,38 +506,24 @@ let per_pair_row ~sup ~template ?split ?budget ?retry ~pair_key groups_a groups_
         fallback ();
         scratch j)
   in
-  List.map
-    (fun j ->
-      let key = pair_key (i, j) in
-      match sup with
-      | None -> ((i, j), (guard_pair ~key (fun () -> first_attempt j), 0))
-      | Some sup -> (
-        let attempt ~attempt =
-          Chaos.with_solver_faults ~key (fun () ->
-              if attempt = 0 then first_attempt j else scratch j)
-        in
-        match Supervise.run_retrying sup ~key attempt with
-        | `Done (v, retries) -> ((i, j), (F_ok v, retries))
-        | `Quarantine (tax, msg, retries) -> ((i, j), (F_quarantine (tax, msg), retries))))
-    js
+  List.map (fun j -> ((i, j), guard_pair ~key:(pair_key (i, j)) (fun () -> attempt j))) js
 
 (* One block task; pure apart from solver state local to the calling
    domain, so it may run on any pool worker. *)
-let solve_block ~sup ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b
-    block =
+let solve_block ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b block =
   let rows = Array.to_list block in
   match template with
   | Some t when all_sat -> List.concat_map (all_sat_row t ?budget ?retry groups_a groups_b) rows
   | _ ->
     List.concat_map
-      (per_pair_row ~sup ~template ?split ?budget ?retry ~pair_key groups_a groups_b)
+      (per_pair_row ~template ?split ?budget ?retry ~pair_key groups_a groups_b)
       rows
 
 (* Stage 4 — emit, row-major again: the reported lists depend only on the
    per-pair verdicts, never on completion order, so the report is the
    same whatever [jobs] was. *)
 let emit groups_a groups_b decided faulted =
-  let found = ref [] and undecided = ref [] and quarantined = ref [] in
+  let found = ref [] and undecided = ref [] in
   Array.iteri
     (fun i (ga : Grouping.group) ->
       Array.iteri
@@ -619,18 +535,15 @@ let emit groups_a groups_b decided faulted =
               match Hashtbl.find_opt decided (i, j) with
               | Some P_clean -> ()
               | Some P_undecided -> undecided := keys :: !undecided
-              | Some (P_quarantined tax) ->
-                undecided := keys :: !undecided;
-                quarantined := (fst keys, snd keys, tax) :: !quarantined
               | Some (P_inc bindings) ->
                 found := mk_inc ga gb (Model.of_bindings bindings) :: !found
               | None -> assert false)
         groups_b)
     groups_a;
-  (List.rev !found, List.rev !undecided, List.rev !quarantined)
+  (List.rev !found, List.rev !undecided)
 
 let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(jobs = 1)
-    ?(incremental = true) ?(force_pool = false) ?supervise
+    ?(incremental = true) ?(force_pool = false)
     ?(on_found = fun (_ : inconsistency) -> ())
     ?(on_warning = default_warning) (a : Grouping.grouped) (b : Grouping.grouped) =
   if a.Grouping.gr_test <> b.Grouping.gr_test then
@@ -642,8 +555,6 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
   let t0 = Mono.now () in
   let groups_a = Array.of_list a.Grouping.gr_groups in
   let groups_b = Array.of_list b.Grouping.gr_groups in
-  let keys_a = Array.map (fun (g : Grouping.group) -> g.Grouping.g_key) groups_a in
-  let keys_b = Array.map (fun (g : Grouping.group) -> g.Grouping.g_key) groups_b in
   (* only a checkpointed or resumed check pays for the fingerprint *)
   let fp =
     if checkpoint = None && resume = None then "" else fingerprint groups_a groups_b
@@ -668,9 +579,8 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
      {!Pool.run} runs serialized on this domain (via [on_result]): the
      single checkpoint writer survives parallelism. *)
   let faulted : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let pair_faults = ref 0 and retries_total = ref 0 and since_snapshot = ref 0 in
-  let record (i, j) (fate, retries) =
-    retries_total := !retries_total + retries;
+  let pair_faults = ref 0 and since_snapshot = ref 0 in
+  let record (i, j) fate =
     (match fate with
      | F_fault ->
        (* degraded to undecided, and *not* checkpointed: a resumed run
@@ -678,15 +588,6 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
           earned *)
        incr pair_faults;
        Hashtbl.replace faulted (i, j) ()
-     | F_quarantine (tax, msg) ->
-       on_warning
-         (Printf.sprintf "pair (%s, %s) quarantined [%s] after %d retr%s: %s" keys_a.(i)
-            keys_b.(j)
-            (Supervise.taxonomy_to_string tax)
-            retries
-            (if retries = 1 then "y" else "ies")
-            msg);
-       Hashtbl.replace decided (i, j) (P_quarantined tax)
      | F_ok Pair_unsat -> Hashtbl.replace decided (i, j) P_clean
      | F_ok Pair_undecided -> Hashtbl.replace decided (i, j) P_undecided
      | F_ok (Pair_sat witness) ->
@@ -700,17 +601,13 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
       snapshot ()
     end
   in
-  (* A task that dies outside any supervised attempt costs its own pairs
-     (quarantined under supervision, transiently faulted without), never
-     the run. *)
-  let record_task_crash ~supervised block e =
-    let tax, msg = Supervise.classify_exn e in
-    on_warning
-      (Printf.sprintf "worker task died (%s): %s" (Supervise.taxonomy_to_string tax) msg);
-    let fate = if supervised then F_quarantine (tax, msg) else F_fault in
-    Array.iter (fun (i, js) -> List.iter (fun j -> record (i, j) (fate, 0)) js) block
+  (* A task that dies outside the pair guard costs its own pairs
+     (transiently faulted), never the run. *)
+  let record_task_crash block e =
+    on_warning (Printf.sprintf "worker task died: %s" (Printexc.to_string e));
+    Array.iter (fun (i, js) -> List.iter (fun j -> record (i, j) F_fault) js) block
   in
-  let all_sat = supervise = None && Chaos.current () = None in
+  let all_sat = Chaos.current () = None in
   let template =
     if incremental && split = None && rows <> [||] && not (Solver.certify_enabled ()) then
       (* the B side of every row, in ascending [j], blasted once *)
@@ -721,22 +618,15 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
   let pair_key (i, j) = (i * Array.length groups_b) + j in
   let worker_init, worker_exit = solver_pool_hooks () in
   let tasks = blocks rows in
-  let solve sup =
-    ignore
-      (Pool.run ~worker_init ~worker_exit ~force_pool
-         ~on_result:(fun k -> function
-           | Ok pairs -> List.iter (fun (ij, fr) -> record ij fr) pairs
-           | Error (e, _) ->
-             record_task_crash ~supervised:(sup <> None) tasks.(k) e)
-         ~jobs
-         (solve_block ~sup ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a
-            groups_b)
-         tasks)
-  in
-  (match supervise with
-   | None -> solve None
-   | Some pol -> Supervise.with_monitor pol (fun sup -> solve (Some sup)));
-  let found, undecided, quarantined = emit groups_a groups_b decided faulted in
+  ignore
+    (Pool.run ~worker_init ~worker_exit ~force_pool
+       ~on_result:(fun k -> function
+         | Ok pairs -> List.iter (fun (ij, fate) -> record ij fate) pairs
+         | Error (e, _) -> record_task_crash tasks.(k) e)
+       ~jobs
+       (solve_block ~template ~all_sat ?split ?budget ?retry ~pair_key groups_a groups_b)
+       tasks);
+  let found, undecided = emit groups_a groups_b decided faulted in
   snapshot ();
   {
     o_agent_a = a.Grouping.gr_agent;
@@ -747,8 +637,6 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
     o_pairs_equal = pairs_equal;
     o_pairs_undecided = undecided;
     o_pair_faults = !pair_faults;
-    o_pairs_quarantined = quarantined;
-    o_retries = !retries_total;
     o_check_time = Mono.elapsed t0;
   }
 
@@ -756,19 +644,14 @@ let count o = List.length o.o_inconsistencies
 
 let undecided_count o = List.length o.o_pairs_undecided
 
-let quarantined_count o = List.length o.o_pairs_quarantined
-
 (* [pp] and [pp_stable] share everything but the header's trailing check
    time: the stable form is what the exploration oracle and the benchmark
    digests byte-compare (a resumed run against the uninterrupted one), so
    it must not carry wall-clock noise. *)
 let pp_gen ~with_time fmt o =
-  Format.fprintf fmt "@[<v>%s vs %s on %s: %d inconsistencies (%d pairs checked, %d undecided%s%s%s)@ "
+  Format.fprintf fmt "@[<v>%s vs %s on %s: %d inconsistencies (%d pairs checked, %d undecided%s%s)@ "
     o.o_agent_a o.o_agent_b o.o_test (count o) o.o_pairs_checked (undecided_count o)
     (if o.o_pair_faults > 0 then Printf.sprintf " of which %d faulted" o.o_pair_faults else "")
-    (if o.o_pairs_quarantined <> [] then
-       Printf.sprintf " of which %d quarantined" (quarantined_count o)
-     else "")
     (if with_time then Printf.sprintf ", %.2fs" o.o_check_time else "");
   List.iteri
     (fun i inc ->
@@ -782,19 +665,11 @@ let pp_gen ~with_time fmt o =
               (fun (v, value) -> Printf.sprintf "%s=0x%Lx" (Expr.var_name v) value)
               (Model.bindings inc.i_witness))))
     o.o_inconsistencies;
-  (* quarantined pairs are in [o_pairs_undecided] too; list them only in
-     their own, taxonomy-tagged section *)
-  let qkeys = List.map (fun (ka, kb, _) -> (ka, kb)) o.o_pairs_quarantined in
   List.iteri
     (fun i (ka, kb) ->
       Format.fprintf fmt "--- undecided %d (budget exhausted) ---@ %s:@   %s@ %s:@   %s@ " i
         o.o_agent_a ka o.o_agent_b kb)
-    (List.filter (fun p -> not (List.mem p qkeys)) o.o_pairs_undecided);
-  List.iteri
-    (fun i (ka, kb, tax) ->
-      Format.fprintf fmt "--- quarantined %d (%s) ---@ %s:@   %s@ %s:@   %s@ " i
-        (Supervise.taxonomy_to_string tax) o.o_agent_a ka o.o_agent_b kb)
-    o.o_pairs_quarantined;
+    o.o_pairs_undecided;
   Format.fprintf fmt "@]"
 
 let pp = pp_gen ~with_time:true

@@ -40,13 +40,6 @@ type outcome = {
           injected {!Harness.Chaos.Injected_fault}) rather than an honest
           [Unknown]; counted in [o_pairs_undecided] too, and left out of
           checkpoints so a resumed run retries them *)
-  o_pairs_quarantined : (string * string * Harness.Supervise.taxonomy) list;
-      (** pairs supervision struck out after the full retry ladder, tagged
-          with the last failure's taxonomy; counted in [o_pairs_undecided]
-          too, and — unlike transient faults — persisted in the checkpoint
-          so a resume skips known-poison pairs *)
-  o_retries : int;
-      (** supervised attempts beyond each pair's first, summed *)
   o_check_time : float;  (** seconds in the intersection stage (Table 3) *)
 }
 
@@ -85,7 +78,8 @@ exception Checkpoint_error of string
     are refused too.  A file that
     fails its checksum (truncated, bit-flipped, or pre-checksum format) is
     never an error: it degrades to a cold start with an [on_warning]
-    message. *)
+    message.  An intact file holding a [q] record, which names a pair
+    with no verdict, is refused too. *)
 
 val solver_pool_hooks : unit -> (unit -> unit) * (unit -> unit)
 (** [(worker_init, worker_exit)] closures for a {!Harness.Pool.run} whose
@@ -107,7 +101,6 @@ val check :
   ?jobs:int ->
   ?incremental:bool ->
   ?force_pool:bool ->
-  ?supervise:Harness.Supervise.policy ->
   ?on_found:(inconsistency -> unit) ->
   ?on_warning:(string -> unit) ->
   Grouping.grouped ->
@@ -155,9 +148,9 @@ val check :
     and a pair still [Unknown] falls back to the scratch retry ladder
     (counted in [scratch_fallbacks]).  Every row starts from a clean copy
     of the template, so even budgeted verdicts do not depend on
-    scheduling.  Under a chaos plan or [supervise], whose fault streams
-    are defined per pair, each pair of a restored row is decided on its
-    own ({!Smt.Session.pair}).  Reports are byte-identical to
+    scheduling.  Under a chaos plan, whose fault streams are defined per
+    pair, each pair of a restored row is decided on its own
+    ({!Smt.Session.pair}).  Reports are byte-identical to
     [~incremental:false], the per-pair scratch reference path: Sat
     witnesses are re-derived canonically from scratch (see
     {!Smt.Session}).  An explicit [split] or an enabled certify regime
@@ -169,18 +162,8 @@ val check :
     completion queue) instead of the guaranteed sequential fast path —
     for measuring pool scheduling overhead on single-core machines.
 
-    [supervise]: run every pair solve under a {!Harness.Supervise} watchdog
-    — per-attempt wall-clock deadlines enforced preemptively by a monitor
-    domain, a memory-pressure guard, and the retry/backoff ladder.  A pair
-    that strikes out is {e quarantined}: recorded undecided with a failure
-    taxonomy, checkpointed (format v3) so a resume skips it, and reported
-    in [o_pairs_quarantined].  Without supervision (the default) behaviour
-    is exactly the pre-supervision code path.  With supervision enabled
-    but no deadline tripping, reports remain byte-identical to
-    unsupervised runs at any [jobs].
-
     [on_warning] (default: print to stderr) receives degradation notices
-    such as a corrupt resume file or a quarantined pair.
+    such as a corrupt resume file or a dead worker task.
 
     @raise Invalid_argument if the two runs are of different tests, if
     [jobs < 1], or if [split <= 0]. *)
@@ -190,10 +173,6 @@ val count : outcome -> int
 val undecided_count : outcome -> int
 (** Number of pairs the run gave up on; nonzero means the inconsistency
     list is a lower bound, not a verdict. *)
-
-val quarantined_count : outcome -> int
-(** Number of pairs the supervision layer quarantined (a subset of
-    {!undecided_count}). *)
 
 val pp : Format.formatter -> outcome -> unit
 

@@ -25,7 +25,7 @@ type obs = {
   ob_incs : (string * string) list;  (** result-key pairs found inconsistent *)
   ob_pairs_checked : int;
   ob_undecided : (string * string) list;
-  ob_faults : int;  (** faulted + quarantined pairs *)
+  ob_faults : int;  (** faulted pairs *)
   ob_exit : int;  (** {!Report.exit_status} of the faulted run *)
   ob_wall_s : float;  (** wall-clock seconds for the whole observation *)
   ob_signal : string list;

@@ -24,13 +24,13 @@ type comparison = {
      cannot produce it (it has runs, not agents to re-execute) *)
 }
 
-let compare_runs ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?supervise
-    ?on_warning spec run_a run_b =
+let compare_runs ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?on_warning spec
+    run_a run_b =
   let grouped_a = Grouping.of_run run_a in
   let grouped_b = Grouping.of_run run_b in
   let outcome =
-    Crosscheck.check ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?supervise
-      ?on_warning grouped_a grouped_b
+    Crosscheck.check ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?on_warning
+      grouped_a grouped_b
   in
   {
     c_test = spec;
@@ -63,7 +63,7 @@ let reraise_or = function
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let compare_agents ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs = 1)
-    ?incremental ?supervise ?(validate = false) agent_a agent_b
+    ?incremental ?(validate = false) agent_a agent_b
     (spec : Test_spec.t) =
   let exec agent () =
     Runner.execute ?max_paths ?strategy ?deadline_ms ?solver_budget agent spec
@@ -79,8 +79,7 @@ let compare_agents ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(job
       (a, reraise_or rb)
   in
   let c =
-    compare_runs ?split ?budget:solver_budget ~jobs ?incremental
-      ?supervise spec run_a run_b
+    compare_runs ?split ?budget:solver_budget ~jobs ?incremental spec run_a run_b
   in
   if not validate then c
   else
@@ -98,7 +97,7 @@ type suite_result = {
 }
 
 let compare_suite ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs = 1)
-    ?incremental ?supervise ?(validate = false) agent_a agent_b
+    ?incremental ?(validate = false) agent_a agent_b
     specs =
   let comparisons = ref [] in
   let failures = ref [] in
@@ -127,8 +126,7 @@ let compare_suite ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs
       | Error f -> failures := f :: !failures
       | Ok (run_a, run_b) ->
         let c =
-          compare_runs ?split ?budget:solver_budget ~jobs ?incremental
-            ?supervise spec run_a run_b
+          compare_runs ?split ?budget:solver_budget ~jobs ?incremental spec run_a run_b
         in
         let c =
           if not validate then c
@@ -177,11 +175,6 @@ let pp_comparison fmt c =
   (match c.c_outcome.Crosscheck.o_pair_faults with
    | 0 -> ()
    | n -> Format.fprintf fmt "faulted pairs: %d (degraded to undecided)@ " n);
-  (match Crosscheck.quarantined_count c.c_outcome with
-   | 0 -> ()
-   | n ->
-     Format.fprintf fmt
-       "quarantined pairs: %d (supervision struck out; a resume skips them)@ " n);
   Report.pp_summary fmt (summaries c);
   (match c.c_validation with
    | None -> ()

@@ -24,16 +24,15 @@ val compare_runs :
   ?resume:string ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?supervise:Harness.Supervise.policy ->
   ?on_warning:(string -> unit) ->
   Harness.Test_spec.t ->
   Harness.Runner.run ->
   Harness.Runner.run ->
   comparison
 (** Phase 2 only, over existing phase-1 runs.  The optional arguments
-    (including [jobs], the crosscheck worker-domain count, [incremental],
-    the per-row session toggle, and [supervise], the watchdog policy) are
-    forwarded to {!Crosscheck.check}. *)
+    (including [jobs], the crosscheck worker-domain count, and
+    [incremental], the per-row session toggle) are forwarded to
+    {!Crosscheck.check}. *)
 
 val compare_agents :
   ?max_paths:int ->
@@ -43,7 +42,6 @@ val compare_agents :
   ?split:int ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->
   Switches.Agent_intf.t ->
@@ -73,7 +71,6 @@ val compare_suite :
   ?split:int ->
   ?jobs:int ->
   ?incremental:bool ->
-  ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->
   Switches.Agent_intf.t ->

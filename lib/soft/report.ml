@@ -77,8 +77,8 @@ let summarize (o : Crosscheck.outcome) =
    if parts of the check also gave up. *)
 (* Same policy from bare counters: the exploration oracle checks a
    faulted run's exit status against its observed counters without
-   holding a [Crosscheck.outcome].  [faults] covers pair faults and
-   quarantines — both leave pairs undecided. *)
+   holding a [Crosscheck.outcome].  [faults] counts faulted pairs,
+   which are undecided too. *)
 let exit_of_counts ~inconsistencies ~undecided ~faults =
   if inconsistencies > 0 then 1 else if undecided > 0 || faults > 0 then 3 else 0
 

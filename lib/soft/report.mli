@@ -37,6 +37,6 @@ val exit_status : ?validation:Validate.summary -> Crosscheck.outcome -> int
 val exit_of_counts : inconsistencies:int -> undecided:int -> faults:int -> int
 (** The {!exit_status} policy from bare counters, for callers (the
     exploration {!Oracle}) that hold verdict counts instead of a
-    {!Crosscheck.outcome}.  [faults] covers pair faults and quarantines. *)
+    {!Crosscheck.outcome}.  [faults] counts faulted pairs. *)
 
 val pp_summary : Format.formatter -> summary list -> unit

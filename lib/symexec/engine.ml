@@ -195,15 +195,22 @@ let commit_constraint env c =
          let r = root env v in
          if r <> r0 then Hashtbl.replace env.uf r r0)
        rest);
-  if env.eng.use_interval then ignore (Interval.add env.dom c);
-  (* keep the cached model honest: drop it if the new constraint falsifies
-     it *)
+  if env.eng.use_interval then ignore (Interval.add env.dom c)
+
+(* Keep the cached model honest after a replayed decision, which the
+   script made without consulting the model: drop the model if the
+   committed constraint falsifies it.  A fresh decision needs no check,
+   since its model already satisfies what it commits (picked by
+   evaluating it, checked by [solve_arm], or read off by [eval_bv]). *)
+let check_replayed env c =
   match env.model with
   | Some m when not (Model.eval_bool m c) -> env.model <- None
   | _ -> ()
 
-let take_dir env loc cond d =
-  commit_constraint env (if d then cond else Expr.not_ cond);
+let take_dir ?(replayed = false) env loc cond d =
+  let c = if d then cond else Expr.not_ cond in
+  commit_constraint env c;
+  if replayed then check_replayed env c;
   env.taken_rev <- Dir d :: env.taken_rev;
   mark_branch env loc d;
   d
@@ -227,7 +234,7 @@ let branch ?loc env cond =
     match env.script with
     | Dir d :: rest ->
       env.script <- rest;
-      take_dir env loc cond d
+      take_dir ~replayed:true env loc cond d
     | Val _ :: _ ->
       invalid_arg "Engine.branch: replay script out of sync (expected direction)"
     | [] ->
@@ -302,7 +309,9 @@ let concretize env (e : Expr.bv) =
     match env.script with
     | Val v :: rest ->
       env.script <- rest;
-      commit_constraint env (Expr.eq e (Expr.const ~width:(Expr.width e) v));
+      let c = Expr.eq e (Expr.const ~width:(Expr.width e) v) in
+      commit_constraint env c;
+      check_replayed env c;
       env.taken_rev <- Val v :: env.taken_rev;
       v
     | Dir _ :: _ ->

@@ -467,6 +467,105 @@ let test_resume_bitflipped_checkpoint () =
       Out_channel.with_open_bin file (fun oc ->
           Out_channel.output_bytes oc body))
 
+(* --- checkpoint format: v2 migration, corruption, retired records ------ *)
+
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+let write_file p s = Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc s)
+
+(* strip the trailing [sum ...] line / append a fresh one *)
+let body_of content =
+  let wo = String.sub content 0 (String.length content - 1) in
+  let i = String.rindex wo '\n' in
+  String.sub content 0 (i + 1)
+
+let with_sum body = body ^ "sum " ^ Digest.to_hex (Digest.string body) ^ "\n"
+
+let grouped_runs () =
+  let spec = Harness.Test_spec.packet_out () in
+  let run_a = Harness.Runner.execute ~max_paths:40 Switches.Reference_switch.agent spec in
+  let run_b = Harness.Runner.execute ~max_paths:40 Switches.Modified_switch.agent spec in
+  (Soft.Grouping.of_run run_a, Soft.Grouping.of_run run_b)
+
+let canon (o : Soft.Crosscheck.outcome) =
+  Format.asprintf "%a" Soft.Crosscheck.pp { o with Soft.Crosscheck.o_check_time = 0.0 }
+
+let in_temp f =
+  let file = Filename.temp_file "soft_ckpt" ".txt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file) (fun () -> f file)
+
+let test_checkpoint_v2_migration () =
+  in_temp (fun file ->
+      let a, b = grouped_runs () in
+      let full = Soft.Crosscheck.check ~checkpoint:file a b in
+      let v3 = read_file file in
+      check_bool "fresh snapshots carry the v3 magic" true
+        (String.sub v3 0 18 = "soft-checkpoint 3\n");
+      (* rewrite the same records as a v2 file: old magic, fresh checksum *)
+      let v2_body =
+        "soft-checkpoint 2\n" ^ String.sub (body_of v3) 18 (String.length (body_of v3) - 18)
+      in
+      write_file file (with_sum v2_body);
+      let warnings = ref [] in
+      let before = (Solver.stats ()).Solver.queries in
+      let resumed =
+        Soft.Crosscheck.check ~resume:file ~checkpoint:file
+          ~on_warning:(fun w -> warnings := w :: !warnings)
+          a b
+      in
+      check_bool "v2 resumes without warnings" true (!warnings = []);
+      check_int "a complete v2 snapshot costs no queries" before
+        (Solver.stats ()).Solver.queries;
+      Alcotest.(check string) "v2 resume reproduces the outcome" (canon full) (canon resumed);
+      (* ... and the next snapshot is written in the new format *)
+      check_bool "rewrite upgrades the magic to v3" true
+        (String.sub (read_file file) 0 18 = "soft-checkpoint 3\n"))
+
+let test_checkpoint_corrupt_v3_cold_start () =
+  in_temp (fun file ->
+      let a, b = grouped_runs () in
+      let full = Soft.Crosscheck.check ~checkpoint:file a b in
+      let v3 = read_file file in
+      (* flip one body byte: the checksum must catch it *)
+      let bad = Bytes.of_string v3 in
+      Bytes.set bad (String.length v3 / 2)
+        (if Bytes.get bad (String.length v3 / 2) = 'x' then 'y' else 'x');
+      write_file file (Bytes.to_string bad);
+      let warnings = ref [] in
+      let before = (Solver.stats ()).Solver.queries in
+      let resumed =
+        Soft.Crosscheck.check ~resume:file ~on_warning:(fun w -> warnings := w :: !warnings) a b
+      in
+      check_int "exactly one degradation warning" 1 (List.length !warnings);
+      check_bool "warning names the integrity check" true
+        (List.for_all (contains ~needle:"integrity") !warnings);
+      check_bool "cold start re-solves" true ((Solver.stats ()).Solver.queries > before);
+      Alcotest.(check string) "cold start is only slower, never wrong" (canon full)
+        (canon resumed))
+
+(* A [q] record is refused even in an intact, sealed snapshot: the pair
+   it names has no verdict a resume could report. *)
+let test_checkpoint_q_record_rejected () =
+  in_temp (fun file ->
+      let a, b = grouped_runs () in
+      ignore (Soft.Crosscheck.check ~checkpoint:file a b);
+      let replaced = ref false in
+      let lines =
+        List.map
+          (fun l ->
+            if (not !replaced) && String.length l > 2 && l.[0] = 'd' && l.[1] = ' ' then begin
+              replaced := true;
+              "q" ^ String.sub l 1 (String.length l - 1) ^ " hung"
+            end
+            else l)
+          (String.split_on_char '\n' (body_of (read_file file)))
+      in
+      check_bool "found a decided pair to rewrite" true !replaced;
+      write_file file (with_sum (String.concat "\n" lines));
+      match Soft.Crosscheck.check ~resume:file a b with
+      | _ -> Alcotest.fail "checkpoint with a q record accepted"
+      | exception Soft.Crosscheck.Checkpoint_error msg ->
+        check_bool "the error names the record" true (contains ~needle:"q " msg))
+
 (* --- crash isolation: engine, runner, pipeline ------------------------ *)
 
 let test_engine_isolates_agent_exception () =
@@ -572,6 +671,9 @@ let suite =
       test_resume_rejects_same_keys_other_conditions );
     ("resume: truncated checkpoint heals cold", `Quick, test_resume_truncated_checkpoint);
     ("resume: bit-flipped checkpoint heals cold", `Quick, test_resume_bitflipped_checkpoint);
+    ("checkpoint v2 resumes into v3", `Quick, test_checkpoint_v2_migration);
+    ("corrupt v3 checkpoint cold-starts", `Quick, test_checkpoint_corrupt_v3_cold_start);
+    ("checkpoint with a q record is refused", `Quick, test_checkpoint_q_record_rejected);
     ("engine isolates agent exceptions", `Quick, test_engine_isolates_agent_exception);
     ("engine honours the exploration deadline", `Quick, test_engine_deadline);
     ("execute_safe isolates a crashing run", `Quick, test_execute_safe_isolates_run);

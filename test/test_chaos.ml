@@ -58,8 +58,8 @@ let test_point_streams_independent () =
       in
       check_bool "solver-fault schedule unshifted by agent-step draws" true
         (solo = interleaved);
-      (* the five points are exactly the names --chaos-points accepts *)
-      check_int "five points" 5 (List.length Chaos.all_points);
+      (* the four points are exactly the names --chaos-points accepts *)
+      check_int "four points" 4 (List.length Chaos.all_points);
       List.iter
         (fun pt ->
           check_bool (Chaos.point_name pt) true

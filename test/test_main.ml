@@ -31,6 +31,5 @@ let () =
       ("chaos", Test_chaos.suite);
       ("parallel", Test_parallel.suite);
       ("incremental", Test_incremental.suite);
-      ("supervise", Test_supervise.suite);
       ("explore", Test_explore.suite);
     ]

@@ -219,8 +219,6 @@ let test_summarize_dedups () =
       o_pairs_equal = 0;
       o_pairs_undecided = [];
       o_pair_faults = 0;
-      o_pairs_quarantined = [];
-      o_retries = 0;
       o_check_time = 0.0;
     }
   in

@@ -425,7 +425,7 @@ let test_restore_after_larger_row () =
 (* A row's answers depend on the template and the row alone.  Each case
    builds a template over generated B conditions and solves generated A
    rows on this domain's recycled row instance, disturbing them in turn:
-   a budget Unknown, a query hook that raises, a cancellation mid-search.
+   a budget Unknown and a query hook that raises.
    The last row, under a small conflict budget, must then answer exactly
    as on a freshly restored instance (a newly spawned domain's, handed
    this domain's solver configuration, certify mode included): the same
@@ -464,25 +464,16 @@ let prop_recycled_row_matches_fresh =
       let budget = Solver.budget ~max_conflicts:2 () in
       let last = List.nth rows (List.length rows - 1) in
       Fun.protect
-        ~finally:(fun () ->
-          Solver.set_query_hook (fun () -> ());
-          Cancel.clear_current ())
+        ~finally:(fun () -> Solver.set_query_hook (fun () -> ()))
         (fun () ->
           List.iteri
             (fun k a ->
-              match k mod 3 with
+              match k mod 2 with
               | 0 -> ignore (solve_row ~budget:(Solver.budget ~max_conflicts:0 ()) a)
-              | 1 ->
+              | _ ->
                 Solver.set_query_hook (fun () -> raise Exit);
                 (try ignore (solve_row a) with Exit -> ());
-                Solver.set_query_hook (fun () -> ())
-              | _ ->
-                let tok = Cancel.create () in
-                Cancel.set_current tok;
-                Solver.set_query_hook (fun () -> Cancel.cancel tok Cancel.Deadline);
-                (try ignore (solve_row a) with Cancel.Cancelled _ -> ());
-                Solver.set_query_hook (fun () -> ());
-                Cancel.clear_current ())
+                Solver.set_query_hook (fun () -> ()))
             rows);
       let recycled = solve_row ~budget last in
       let cfg = Solver.snapshot_config () in

@@ -130,8 +130,6 @@ let outcome ?(incs = []) ?(undecided = []) ?(faults = 0) () =
     o_pairs_equal = 0;
     o_pairs_undecided = undecided;
     o_pair_faults = faults;
-    o_pairs_quarantined = [];
-    o_retries = 0;
     o_check_time = 0.0;
   }
 
